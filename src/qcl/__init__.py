@@ -12,7 +12,6 @@ the phase operators.
 
 from .geometry import (
     BranchPair,
-    Event,
     Scenario,
     Separation,
     Worldline,
@@ -26,7 +25,6 @@ from .geometry import (
 from .kernels import (
     KernelSpec,
     SingularityError,
-    advanced_time,
     coulomb_background,
     hadamard_scalar,
     lienard_wiechert,
@@ -76,7 +74,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BranchPair",
-    "Event",
     "Scenario",
     "Worldline",
     "Separation",
@@ -88,7 +85,6 @@ __all__ = [
     "validate_branch_pair",
     "KernelSpec",
     "SingularityError",
-    "advanced_time",
     "coulomb_background",
     "hadamard_scalar",
     "lienard_wiechert",

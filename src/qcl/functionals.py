@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import BranchPair, Scenario, SplitPath, Worldline, causal_margin
-from .kernels import KernelSpec, _lw_batch, hadamard_dt_r, retarded_kernel
+from .kernels import KernelSpec, _lw_batch, hadamard_dt_r, lienard_wiechert, retarded_kernel
 from .quadrature import NumericFailure, adaptive_1d, adaptive_2d, panel_gauss_nodes
 
 __all__ = [
@@ -186,8 +186,6 @@ def _phi_self_with_error(
     pair: BranchPair, spec: KernelSpec, background=None
 ) -> tuple[float, float]:
     a, b = pair.split_window
-    knots = pair.split_knots()
-    branches = pair.branches()
     q = pair.charge
 
     # Radiated-field term: the branch difference at time t pairs with the
@@ -221,29 +219,16 @@ def _phi_self_with_error(
 
     val, err = adaptive_2d(
         radiated, (a, b), (0.0, w_max),
-        tol=spec.quad_tol, knots_x=knots,
+        tol=spec.quad_tol, knots_x=pair.split_knots(),
         name=f"phi_self[{pair.label}]",
     )
     phi = -0.5 * q * q * val
     err_total = 0.5 * q * q * err
 
     if background is not None:
-        def bg_integrand(ts: np.ndarray) -> np.ndarray:
-            total = np.zeros_like(ts)
-            for wp, sp in branches:
-                xp = wp.position(ts)
-                vp = wp.velocity(ts)
-                ev = np.concatenate([ts[:, None], xp], axis=1)
-                A = background(ev)
-                total += sp * (A[:, 0] - np.sum(vp * A[:, 1:], axis=-1))
-            return total
-
-        bg_val, bg_err = adaptive_1d(
-            bg_integrand, a, b, tol=spec.quad_tol, knots=knots,
-            name=f"phi_background[{pair.label}]",
-        )
-        phi += q * bg_val
-        err_total += q * bg_err
+        bg_phi, bg_err = _probe_phase(pair, background, spec, f"phi_background[{pair.label}]")
+        phi += bg_phi
+        err_total += bg_err
     return phi, err_total
 
 
@@ -279,11 +264,15 @@ def phi_self(pair: BranchPair, spec: KernelSpec, background=None) -> float:
 # Pairing phases between two particles (bare retarded potentials).
 
 
-def _branch_pairing_with_error(
-    probe: BranchPair, source: Worldline, spec: KernelSpec
-) -> tuple[float, float]:
+def _probe_phase(probe: BranchPair, potential, spec: KernelSpec, name: str) -> tuple[float, float]:
+    """Phase of the probe's branch difference in a four-potential, with its error.
+
+    q_probe int dt sum_P s_P [A^0(t, X_P(t)) - v_P(t) . A_vec(t, X_P(t))]
+    over the probe's split window, where ``potential`` maps events of
+    shape (N, 4) to A^mu of shape (N, 4).  The error estimate scales with
+    |q_probe|, so it stays non-negative for either sign of charge.
+    """
     a, b = probe.split_window
-    q = probe.charge
 
     def integrand(ts: np.ndarray) -> np.ndarray:
         total = np.zeros_like(ts)
@@ -291,15 +280,23 @@ def _branch_pairing_with_error(
             xp = wp.position(ts)
             vp = wp.velocity(ts)
             ev = np.concatenate([ts[:, None], xp], axis=1)
-            A = _lw_batch(ev, source)
+            A = potential(ev)
             total += sp * (A[:, 0] - np.sum(vp * A[:, 1:], axis=-1))
         return total
 
     val, err = adaptive_1d(
-        integrand, a, b, tol=spec.quad_tol, knots=probe.split_knots(),
-        name=f"pairing[{probe.label}]",
+        integrand, a, b, tol=spec.quad_tol, knots=probe.split_knots(), name=name,
     )
+    q = probe.charge
     return q * val, abs(q) * err
+
+
+def _branch_pairing_with_error(
+    probe: BranchPair, source: Worldline, spec: KernelSpec
+) -> tuple[float, float]:
+    return _probe_phase(
+        probe, lambda ev: _lw_batch(ev, source), spec, f"pairing[{probe.label}]",
+    )
 
 
 def branch_pairing(probe: BranchPair, source: Worldline, spec: KernelSpec) -> float:
@@ -323,51 +320,26 @@ def phi_pairing(probe: BranchPair, source: BranchPair, spec: KernelSpec) -> floa
     """
     if causal_margin(probe, source) > 0.0:
         return 0.0
-    a, b = probe.split_window
-    q = probe.charge
 
-    def integrand(ts: np.ndarray) -> np.ndarray:
-        total = np.zeros_like(ts)
-        for wp, sp in probe.branches():
-            xp = wp.position(ts)
-            vp = wp.velocity(ts)
-            ev = np.concatenate([ts[:, None], xp], axis=1)
-            dA = _lw_batch(ev, source.right) - _lw_batch(ev, source.left)
-            total += sp * (dA[:, 0] - np.sum(vp * dA[:, 1:], axis=-1))
-        return total
+    def difference(ev: np.ndarray) -> np.ndarray:
+        return _lw_batch(ev, source.right) - _lw_batch(ev, source.left)
 
-    val, err = adaptive_1d(
-        integrand, a, b, tol=spec.quad_tol, knots=probe.split_knots(),
-        name=f"phi_pairing[{probe.label},{source.label}]",
-    )
-    return q * val
+    name = f"phi_pairing[{probe.label},{source.label}]"
+    return _probe_phase(probe, difference, spec, name)[0]
 
 
 def _one_sided_commutator(probe: BranchPair, source: BranchPair, spec: KernelSpec) -> float:
     """Integral over the probe window of the source's advanced-minus-retarded field."""
-    a, b = probe.split_window
-    q = probe.charge
 
-    def integrand(ts: np.ndarray) -> np.ndarray:
-        total = np.zeros_like(ts)
-        for wp, sp in probe.branches():
-            xp = wp.position(ts)
-            vp = wp.velocity(ts)
-            ev = np.concatenate([ts[:, None], xp], axis=1)
-            dA = (
-                _lw_batch(ev, source.right, advanced=True)
-                - _lw_batch(ev, source.left, advanced=True)
-                - _lw_batch(ev, source.right)
-                + _lw_batch(ev, source.left)
-            )
-            total += sp * (dA[:, 0] - np.sum(vp * dA[:, 1:], axis=-1))
-        return total
+    def difference(ev: np.ndarray) -> np.ndarray:
+        return (
+            _lw_batch(ev, source.right, advanced=True)
+            - _lw_batch(ev, source.left, advanced=True)
+            - _lw_batch(ev, source.right)
+            + _lw_batch(ev, source.left)
+        )
 
-    val, _ = adaptive_1d(
-        integrand, a, b, tol=spec.quad_tol, knots=probe.split_knots(),
-        name="commutator",
-    )
-    return q * val
+    return _probe_phase(probe, difference, spec, "commutator")[0]
 
 
 def commutator_functional(pair_A: BranchPair, pair_B: BranchPair, spec: KernelSpec) -> float:
@@ -392,8 +364,6 @@ def commutator_functional(pair_A: BranchPair, pair_B: BranchPair, spec: KernelSp
 
 def retarded_field_difference(pair: BranchPair, x) -> np.ndarray:
     """Bare retarded four-potential difference of a pair's branches at event x."""
-    from .kernels import lienard_wiechert
-
     return lienard_wiechert(x, pair.right) - lienard_wiechert(x, pair.left)
 
 

@@ -14,18 +14,15 @@ field kernels and phase/dephasing functionals live in sibling modules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 __all__ = [
-    "Event",
     "OutOfDomainError",
     "StaticPath",
     "SplitPath",
-    "SampledPath",
     "Worldline",
     "BranchPair",
     "Violation",
@@ -48,28 +45,8 @@ class OutOfDomainError(ValueError):
     """Raised when a worldline is sampled outside its time window."""
 
 
-@dataclass(frozen=True)
-class Event:
-    """A spacetime point (t, x, y, z)."""
-
-    t: float
-    x: float
-    y: float
-    z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.t, self.x, self.y, self.z], dtype=float)
-
-    @staticmethod
-    def from_array(a: Sequence[float]) -> "Event":
-        t, x, y, z = (float(v) for v in a)
-        return Event(t, x, y, z)
-
-
 def _event_array(e) -> np.ndarray:
-    """Accept an Event or any length-4 sequence and return ndarray(4)."""
-    if isinstance(e, Event):
-        return e.as_array()
+    """Accept any length-4 sequence (t, x, y, z) and return ndarray(4)."""
     a = np.asarray(e, dtype=float)
     if a.shape != (4,):
         raise ValueError(f"expected a length-4 event, got shape {a.shape}")
@@ -185,44 +162,6 @@ class SplitPath:
             self.t0 + self.ramp + self.hold,
             self.t_end,
         ]
-
-
-class SampledPath:
-    """Cubic-spline interpolation through sampled positions.
-
-    The spline is clamped (zero velocity) at both ends so that a static
-    extension beyond the sample range keeps the velocity continuous.
-    Outside the sampled interval the path holds its endpoint value.
-    """
-
-    def __init__(self, times: Sequence[float], points: Sequence[Sequence[float]]):
-        times = np.asarray(times, dtype=float)
-        points = np.asarray(points, dtype=float)
-        if times.ndim != 1 or times.size < 2:
-            raise ValueError("need at least two sample times")
-        if points.shape != (times.size, 3):
-            raise ValueError("points must have shape (len(times), 3)")
-        if np.any(np.diff(times) <= 0.0):
-            raise ValueError("sample times must be strictly increasing")
-        self.times = times
-        self.points = points
-        self._spline = CubicSpline(times, points, axis=0, bc_type="clamped")
-        self._deriv = self._spline.derivative()
-
-    def position(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        tc = np.clip(ts, self.times[0], self.times[-1])
-        return self._spline(tc)
-
-    def velocity(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        tc = np.clip(ts, self.times[0], self.times[-1])
-        v = self._deriv(tc)
-        inside = (ts >= self.times[0]) & (ts <= self.times[-1])
-        return np.where(inside[..., None], v, 0.0)
-
-    def knots(self) -> list[float]:
-        return list(self.times)
 
 
 @dataclass(frozen=True)
@@ -487,7 +426,6 @@ class Scenario:
     T_A: float
     T_B: float
     background: object | None = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def spacelike(self) -> bool:

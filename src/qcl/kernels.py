@@ -46,7 +46,6 @@ __all__ = [
     "retarded_kernel",
     "smeared_coulomb",
     "retarded_time",
-    "advanced_time",
     "lienard_wiechert",
     "coulomb_background",
     "pure_gauge_background",
@@ -227,32 +226,23 @@ def _light_cone_times(events: np.ndarray, w: Worldline, *, advanced: bool) -> np
     return 0.5 * (lo + hi)
 
 
-def retarded_time(x, w: Worldline, *, residual_tol: float = 1e-10) -> float | None:
+def retarded_time(
+    x, w: Worldline, *, advanced: bool = False, residual_tol: float = 1e-10
+) -> float | None:
     """Emission time on w whose forward light cone passes through event x.
 
-    Returns None when the worldline has extend="none" and the crossing
-    would fall outside its window (no source exists there).  The root is
-    verified to satisfy |t - tau - |x - X(tau)|| <= residual_tol.
+    With ``advanced=True``, the absorption time whose backward light cone
+    does.  Returns None when the worldline has extend="none" and the
+    crossing would fall outside its window (no source exists there).  The
+    root is verified to satisfy ||t - tau| - |x - X(tau)|| <= residual_tol.
     """
     e = _event_array(x)
-    tau = float(_light_cone_times(e[None, :], w, advanced=False)[0])
+    tau = float(_light_cone_times(e[None, :], w, advanced=advanced)[0])
     if w.extend == "none" and not (w.window[0] <= tau <= w.window[1]):
         return None
     r = float(np.linalg.norm(e[1:] - w.position(np.asarray(tau))))
-    residual = abs((e[0] - tau) - r)
-    if residual > residual_tol:
-        raise ArithmeticError(f"light-cone solve residual {residual:.3e} too large")
-    return tau
-
-
-def advanced_time(x, w: Worldline, *, residual_tol: float = 1e-10) -> float | None:
-    """Absorption time on w whose backward light cone passes through event x."""
-    e = _event_array(x)
-    tau = float(_light_cone_times(e[None, :], w, advanced=True)[0])
-    if w.extend == "none" and not (w.window[0] <= tau <= w.window[1]):
-        return None
-    r = float(np.linalg.norm(e[1:] - w.position(np.asarray(tau))))
-    residual = abs((tau - e[0]) - r)
+    lag = tau - e[0] if advanced else e[0] - tau
+    residual = abs(lag - r)
     if residual > residual_tol:
         raise ArithmeticError(f"light-cone solve residual {residual:.3e} too large")
     return tau

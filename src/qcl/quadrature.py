@@ -8,18 +8,25 @@ in bulk: all pending panels are stacked into a single vectorized call of
 the integrand so the numpy/scipy kernels amortize across thousands of
 nodes.
 
-Each panel carries an embedded error estimate
+One tensor-product panel engine serves :func:`adaptive_1d` and
+:func:`adaptive_2d`.  Panels are boxes; the first grid splits each axis
+at every interior knot and bisects its widest segments until the axis
+has at least 4.  Each panel is measured with a low- and a high-order
+Gauss-Legendre rule (8 and 16 points in 1D, 4x4 and 8x8 tensor rules in
+2D); the high-order value is kept and
 
     err = |I_high - I_low|
 
-from a low-order and a high-order Gauss-Legendre rule on the same panel
-(orders 4/8 per axis in 2D, 8/16 in 1D; the high-order value is kept).
-Panels are split while the summed error exceeds the requested tolerance,
-worst panels first.  Non-convergence raises :class:`NumericFailure`
-carrying the tolerance actually achieved.
+is the panel's error estimate.  Refinement stops once the summed error
+is at most max(tol * |I|, tol * 1e-3 * L1), with L1 the sum of absolute
+panel values.  Until then each round bisects, along every axis, the
+worst panels: a quarter (at least one) of those whose error exceeds the
+target divided by the panel count.  Reaching ``max_panels`` first
+raises :class:`NumericFailure` carrying the tolerance actually achieved.
 """
-
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -60,39 +67,93 @@ class NumericFailure(RuntimeError):
         self.requested = requested
 
 
-def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+def _tensor_rule(order: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre tensor rule on [-1, 1]^dim: nodes (m, dim), weights (m,)."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    nodes = np.stack(np.meshgrid(*[x] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    weights = functools.reduce(np.outer, [w] * dim).reshape(-1)
     return nodes, weights
 
 
-_X8, _W8 = _gl_rule(8)
-_X16, _W16 = _gl_rule(16)
-_X4, _W4 = _gl_rule(4)
-_XH, _WH = _gl_rule(8)
-
-# Tensor-product nodes for 2D panels on [-1, 1]^2, flattened.
-_NODES2_LO = np.stack(np.meshgrid(_X4, _X4, indexing="ij"), axis=-1).reshape(-1, 2)
-_WEIGHTS2_LO = np.outer(_W4, _W4).reshape(-1)
-_NODES2_HI = np.stack(np.meshgrid(_XH, _XH, indexing="ij"), axis=-1).reshape(-1, 2)
-_WEIGHTS2_HI = np.outer(_WH, _WH).reshape(-1)
+_RULES_1D = (_tensor_rule(8, 1), _tensor_rule(16, 1))
+_RULES_2D = (_tensor_rule(4, 2), _tensor_rule(8, 2))
+_MIN_PANELS = 4
 
 
-def _with_knots(a: float, b: float, knots) -> np.ndarray:
-    """Panel edges on [a, b]: the interval split at every interior knot."""
+def _axis_edges(a: float, b: float, knots) -> np.ndarray:
+    """Panel edges on [a, b] at every interior knot, with at least _MIN_PANELS panels."""
     edges = [a, b]
     if knots is not None:
         edges.extend(k for k in knots if a < k < b)
-    return np.array(sorted(set(edges)), dtype=float)
-
-
-def _refine_edges(edges: np.ndarray, min_panels: int) -> np.ndarray:
-    """Bisect the largest segments until there are at least min_panels."""
-    edges = list(edges)
-    while len(edges) - 1 < min_panels:
-        widths = np.diff(edges)
-        i = int(np.argmax(widths))
+    edges = sorted(set(edges))
+    while len(edges) - 1 < _MIN_PANELS:
+        i = int(np.argmax(np.diff(edges)))
         edges.insert(i + 1, 0.5 * (edges[i] + edges[i + 1]))
-    return np.asarray(edges)
+    return np.asarray(edges, dtype=float)
+
+
+def _adaptive(f, ranges, knots, rules, tol: float, max_panels: int, name: str):
+    """Tensor-product panel engine behind :func:`adaptive_1d` and :func:`adaptive_2d`.
+
+    Panels are boxes stored as (n, d) arrays of lower and upper corners.
+    ``f`` is called once per round with one flat coordinate array per
+    dimension: the low-rule points of every pending panel, then the
+    high-rule points.
+    """
+    if any(b <= a for a, b in ranges):
+        return 0.0, 0.0
+    dim = len(ranges)
+    edges = [_axis_edges(a, b, k) for (a, b), k in zip(ranges, knots)]
+    lo = np.stack(np.meshgrid(*[e[:-1] for e in edges], indexing="ij"), axis=-1).reshape(-1, dim)
+    hi = np.stack(np.meshgrid(*[e[1:] for e in edges], indexing="ij"), axis=-1).reshape(-1, dim)
+    (nodes_lo, w_lo), (nodes_hi, w_hi) = rules
+    # Child c of a split panel takes the upper half along axis k when bit k
+    # of c is set, so axis 0 varies fastest among the 2^d children.
+    upper = [np.array([(c >> k) & 1 for k in range(dim)], dtype=bool) for c in range(2 ** dim)]
+
+    def eval_panels(plo: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        mid = 0.5 * (plo + phi)
+        half = 0.5 * (phi - plo)
+        coords = [
+            np.concatenate([
+                (mid[:, k, None] + half[:, k, None] * nodes[None, :, k]).ravel()
+                for nodes in (nodes_lo, nodes_hi)
+            ])
+            for k in range(dim)
+        ]
+        vals = np.asarray(f(*coords), dtype=float)
+        n_lo = plo.shape[0] * w_lo.size
+        volume = np.prod(half, axis=1)
+        i_lo = volume * (vals[:n_lo].reshape(-1, w_lo.size) @ w_lo)
+        i_hi = volume * (vals[n_lo:].reshape(-1, w_hi.size) @ w_hi)
+        return i_hi, np.abs(i_hi - i_lo)
+
+    vals, errs = eval_panels(lo, hi)
+    while True:
+        total = float(vals.sum())
+        l1 = float(np.abs(vals).sum())
+        target = max(tol * abs(total), tol * 1e-3 * l1)
+        err = float(errs.sum())
+        if err <= target:
+            return total, err
+        n = lo.shape[0]
+        if n >= max_panels:
+            raise NumericFailure(f"{name} did not converge", total, err, target)
+        # Split the worst panels; a modest batch per round keeps the
+        # refinement focused without many tiny evaluation calls.
+        n_split = max(1, int(0.25 * np.count_nonzero(errs > target / n)))
+        worst = np.argsort(errs)[-n_split:]
+        keep = np.ones(n, dtype=bool)
+        keep[worst] = False
+        wlo, whi = lo[worst], hi[worst]
+        mid = 0.5 * (wlo + whi)
+        new_lo = np.concatenate([np.where(u, mid, wlo) for u in upper])
+        new_hi = np.concatenate([np.where(u, whi, mid) for u in upper])
+        new_vals, new_errs = eval_panels(new_lo, new_hi)
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        vals = np.concatenate([vals[keep], new_vals])
+        errs = np.concatenate([errs[keep], new_errs])
 
 
 def adaptive_1d(
@@ -101,66 +162,20 @@ def adaptive_1d(
     b: float,
     *,
     tol: float = 1e-9,
-    abs_floor: float = 0.0,
     knots=None,
-    min_panels: int = 4,
     max_panels: int = 8192,
     name: str = "integral",
 ) -> tuple[float, float]:
     """Integrate a vectorized scalar function f over [a, b].
 
     ``f`` receives a 1D array of points and must return the integrand at
-    each.  Convergence target: summed panel error below
-    max(tol * |I|, tol * 1e-3 * L1, abs_floor) where L1 is the sum of
-    absolute panel contributions.  The L1 term keeps integrals that
-    cancel to nearly zero from chasing an impossible relative target,
-    while abs_floor lets callers set an explicit absolute scale.
-    Returns (value, error_estimate).
+    each.  Panels are intervals measured with 8- and 16-point
+    Gauss-Legendre rules, and every knot inside (a, b) is a panel edge.
+    Refinement and the stop rule are those of the module docstring: the
+    L1 term keeps integrals that cancel to nearly zero from chasing an
+    impossible relative target.  Returns (value, error_estimate).
     """
-    if b <= a:
-        return 0.0, 0.0
-    edges = _refine_edges(_with_knots(a, b, knots), min_panels)
-    lo = edges[:-1].copy()
-    hi = edges[1:].copy()
-
-    def eval_panels(plo: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mid = 0.5 * (plo + phi)
-        half = 0.5 * (phi - plo)
-        pts8 = mid[:, None] + half[:, None] * _X8[None, :]
-        pts16 = mid[:, None] + half[:, None] * _X16[None, :]
-        all_pts = np.concatenate([pts8.ravel(), pts16.ravel()])
-        vals = np.asarray(f(all_pts), dtype=float)
-        n8 = pts8.size
-        v8 = vals[:n8].reshape(pts8.shape)
-        v16 = vals[n8:].reshape(pts16.shape)
-        i8 = half * (v8 @ _W8)
-        i16 = half * (v16 @ _W16)
-        return i16, np.abs(i16 - i8)
-
-    vals, errs = eval_panels(lo, hi)
-    while True:
-        total = float(vals.sum())
-        l1 = float(np.abs(vals).sum())
-        target = max(tol * abs(total), tol * 1e-3 * l1, abs_floor)
-        err = float(errs.sum())
-        if err <= target:
-            return total, err
-        if lo.size >= max_panels:
-            raise NumericFailure(f"{name} did not converge", total, err, target)
-        # Split the worst panels; a modest batch per round keeps the
-        # refinement focused without many tiny evaluation calls.
-        n_split = max(1, int(0.25 * np.count_nonzero(errs > target / max(lo.size, 1))))
-        worst = np.argsort(errs)[-n_split:]
-        keep = np.ones(lo.size, dtype=bool)
-        keep[worst] = False
-        mid = 0.5 * (lo[worst] + hi[worst])
-        new_lo = np.concatenate([lo[worst], mid])
-        new_hi = np.concatenate([mid, hi[worst]])
-        new_vals, new_errs = eval_panels(new_lo, new_hi)
-        lo = np.concatenate([lo[keep], new_lo])
-        hi = np.concatenate([hi[keep], new_hi])
-        vals = np.concatenate([vals[keep], new_vals])
-        errs = np.concatenate([errs[keep], new_errs])
+    return _adaptive(f, [(a, b)], [knots], _RULES_1D, tol, max_panels, name)
 
 
 def adaptive_2d(
@@ -169,10 +184,8 @@ def adaptive_2d(
     y_range: tuple[float, float],
     *,
     tol: float = 1e-7,
-    abs_floor: float = 0.0,
     knots_x=None,
     knots_y=None,
-    min_panels: tuple[int, int] = (4, 4),
     max_panels: int = 60000,
     name: str = "integral",
 ) -> tuple[float, float]:
@@ -185,62 +198,4 @@ def adaptive_2d(
     convergence target follows the same rule as :func:`adaptive_1d`.
     Returns (value, error_estimate).
     """
-    (ax, bx), (ay, by) = x_range, y_range
-    if bx <= ax or by <= ay:
-        return 0.0, 0.0
-    ex = _refine_edges(_with_knots(ax, bx, knots_x), min_panels[0])
-    ey = _refine_edges(_with_knots(ay, by, knots_y), min_panels[1])
-    x0, y0 = np.meshgrid(ex[:-1], ey[:-1], indexing="ij")
-    x1, y1 = np.meshgrid(ex[1:], ey[1:], indexing="ij")
-    px0, px1 = x0.ravel(), x1.ravel()
-    py0, py1 = y0.ravel(), y1.ravel()
-
-    def eval_panels(qx0, qx1, qy0, qy1) -> tuple[np.ndarray, np.ndarray]:
-        mx = 0.5 * (qx0 + qx1)
-        hx = 0.5 * (qx1 - qx0)
-        my = 0.5 * (qy0 + qy1)
-        hy = 0.5 * (qy1 - qy0)
-        xlo = mx[:, None] + hx[:, None] * _NODES2_LO[None, :, 0]
-        ylo = my[:, None] + hy[:, None] * _NODES2_LO[None, :, 1]
-        xhi = mx[:, None] + hx[:, None] * _NODES2_HI[None, :, 0]
-        yhi = my[:, None] + hy[:, None] * _NODES2_HI[None, :, 1]
-        nlo = xlo.size
-        xs = np.concatenate([xlo.ravel(), xhi.ravel()])
-        ys = np.concatenate([ylo.ravel(), yhi.ravel()])
-        vals = np.asarray(f(xs, ys), dtype=float)
-        vlo = vals[:nlo].reshape(xlo.shape)
-        vhi = vals[nlo:].reshape(xhi.shape)
-        area = hx * hy
-        ilo = area * (vlo @ _WEIGHTS2_LO)
-        ihi = area * (vhi @ _WEIGHTS2_HI)
-        return ihi, np.abs(ihi - ilo)
-
-    vals, errs = eval_panels(px0, px1, py0, py1)
-    while True:
-        total = float(vals.sum())
-        l1 = float(np.abs(vals).sum())
-        target = max(tol * abs(total), tol * 1e-3 * l1, abs_floor)
-        err = float(errs.sum())
-        if err <= target:
-            return total, err
-        if px0.size >= max_panels:
-            raise NumericFailure(f"{name} did not converge", total, err, target)
-        n_split = max(1, int(0.25 * np.count_nonzero(errs > target / max(px0.size, 1))))
-        worst = np.argsort(errs)[-n_split:]
-        keep = np.ones(px0.size, dtype=bool)
-        keep[worst] = False
-        wx0, wx1 = px0[worst], px1[worst]
-        wy0, wy1 = py0[worst], py1[worst]
-        mx = 0.5 * (wx0 + wx1)
-        my = 0.5 * (wy0 + wy1)
-        qx0 = np.concatenate([wx0, mx, wx0, mx])
-        qx1 = np.concatenate([mx, wx1, mx, wx1])
-        qy0 = np.concatenate([wy0, wy0, my, my])
-        qy1 = np.concatenate([my, my, wy1, wy1])
-        new_vals, new_errs = eval_panels(qx0, qx1, qy0, qy1)
-        px0 = np.concatenate([px0[keep], qx0])
-        px1 = np.concatenate([px1[keep], qx1])
-        py0 = np.concatenate([py0[keep], qy0])
-        py1 = np.concatenate([py1[keep], qy1])
-        vals = np.concatenate([vals[keep], new_vals])
-        errs = np.concatenate([errs[keep], new_errs])
+    return _adaptive(f, [x_range, y_range], [knots_x, knots_y], _RULES_2D, tol, max_panels, name)

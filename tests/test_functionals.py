@@ -1,5 +1,6 @@
 """Dephasing and phase functionals: exact cancellations, cross-route checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -165,6 +166,34 @@ class TestBuildReport:
         assert rep.phi_AB == rep.phi_A_BR - rep.phi_A_BL
         assert rep.phi_BA == rep.phi_B_AR - rep.phi_B_AL
         assert rep.quad_error > 0.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("family", [one_way_scenario, mutual_scenario])
+    def test_phi_pairing_matches_report_within_quad_error(self, family, seed):
+        # phi_pairing is one integral of the source's branch-difference
+        # field; the report's phi_AB is a difference of two per-branch
+        # integrals.  Both contract the same probe-phase integrand.
+        s = family(np.random.default_rng(seed))
+        rep = build_report(s)
+        assert abs(phi_pairing(s.pair_A, s.pair_B, s.kernel) - rep.phi_AB) <= rep.quad_error
+        assert abs(phi_pairing(s.pair_B, s.pair_A, s.kernel) - rep.phi_BA) <= rep.quad_error
+
+    def test_quad_error_is_invariant_under_charge_negation(self):
+        # Every error term scales with q^2 or |q|, so the error budget
+        # cannot shrink when the charges change sign.
+        s = mutual_scenario(np.random.default_rng(0))
+        field = coulomb_background(0.9, (0.3, 0.5, 0.0), s.kernel)
+
+        def negated(pair):
+            right = dataclasses.replace(pair.right, charge=-pair.charge)
+            left = dataclasses.replace(pair.left, charge=-pair.charge)
+            return dataclasses.replace(pair, right=right, left=left)
+
+        pos = build_report(dataclasses.replace(s, background=field))
+        neg = build_report(dataclasses.replace(
+            s, pair_A=negated(s.pair_A), pair_B=negated(s.pair_B), background=field,
+        ))
+        assert neg.quad_error == pos.quad_error
 
     def test_spacelike_flag_and_zero_cross_phases(self, rng):
         s = spacelike_scenario(rng)

@@ -63,11 +63,6 @@ class TestAdaptive1D:
         assert abs(val) < 1e-10
         assert err < 1e-10
 
-    def test_abs_floor_short_circuits(self):
-        val, err = adaptive_1d(np.sin, 0.0, 2.0 * math.pi, tol=1e-15, abs_floor=1e-6)
-        assert abs(val) < 1e-6
-        assert err <= 1e-6
-
     def test_non_convergence_raises_with_diagnostics(self):
         f = lambda x: 1.0 / np.sqrt(np.abs(x - 1.0 / 3.0) + 1e-300)
         with pytest.raises(NumericFailure) as exc:
