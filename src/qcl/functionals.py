@@ -143,8 +143,7 @@ def _gamma_momentum_pass(pair: BranchPair, spec: KernelSpec, bump: int) -> float
     dl, rl = disp_l(tn), rate_l(tn)
 
     total = 0.0
-    # About 2.5e5 elements per k-chunk keeps each (chunk, mu, t) complex
-    # temporary near 4 MB; several are alive at once.
+    # 2.5e5 elements per k-chunk keep each complex temporary near 4 MB.
     chunk = max(1, int(2.5e5 / (mu_n * tn.size)))
     for i0 in range(0, kn.size, chunk):
         ks = kn[i0:i0 + chunk]

@@ -114,13 +114,8 @@ def _adaptive(f, ranges, knots, rules, tol: float, max_panels: int, name: str):
     def eval_panels(plo: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mid = 0.5 * (plo + phi)
         half = 0.5 * (phi - plo)
-        coords = [
-            np.concatenate([
-                (mid[:, k, None] + half[:, k, None] * nodes[None, :, k]).ravel()
-                for nodes in (nodes_lo, nodes_hi)
-            ])
-            for k in range(dim)
-        ]
+        pts = [mid[:, None, :] + half[:, None, :] * nodes[None] for nodes in (nodes_lo, nodes_hi)]
+        coords = [np.concatenate([p[..., k].ravel() for p in pts]) for k in range(dim)]
         vals = np.asarray(f(*coords), dtype=float)
         n_lo = plo.shape[0] * w_lo.size
         volume = np.prod(half, axis=1)
