@@ -60,10 +60,10 @@ def _gamma_with_error(pair: BranchPair, spec: KernelSpec) -> tuple[float, float]
     def integrand(ts: np.ndarray, us: np.ndarray) -> np.ndarray:
         total = np.zeros_like(ts)
         for wp, sp in branches:
-            xp = wp.position(ts)
+            xp = wp.offset(ts)
             vp = wp.velocity(ts)
             for wq, sq in branches:
-                xq = wq.position(us)
+                xq = wq.offset(us)
                 vq = wq.velocity(us)
                 r = np.linalg.norm(xp - xq, axis=-1)
                 vv = np.sum(vp * vq, axis=-1)
@@ -201,8 +201,8 @@ def _phi_self_with_error(
 
     def combo(wp: Worldline, wq: Worldline, ts: np.ndarray, lags: np.ndarray) -> np.ndarray:
         us = ts - lags
-        xp, vp = wp.position(ts), wp.velocity(ts)
-        xq, vq = wq.position(us), wq.velocity(us)
+        xp, vp = wp.offset(ts), wp.velocity(ts)
+        xq, vq = wq.offset(us), wq.velocity(us)
         r = np.linalg.norm(xp - xq, axis=-1)
         vv = np.sum(vp * vq, axis=-1)
         return (1.0 - vv) * retarded_kernel(lags, r, spec)
@@ -420,10 +420,10 @@ def build_report(scenario: Scenario) -> DecoherenceReport:
 
     The directional phases are assembled from the per-branch pairings,
     phi_AB = phi_A_BR - phi_A_BL, so the report is internally consistent
-    by construction.  In configurations where the source pair's split
-    window cannot reach the probe's split window causally, both
-    per-branch integrands agree bitwise (the probed field only ever sees
-    branch-coincident source points) and the difference is exactly zero.
+    by construction.  Where the source's split window cannot reach the
+    probe's, every crossing finds the source at rest with the closed-form
+    time both branches share (the rest-point certificate), so the branch
+    integrands agree bitwise in any layout and the difference is exactly zero.
     """
     spec: KernelSpec = scenario.kernel
     ga, ega = _gamma_with_error(scenario.pair_A, spec)

@@ -97,6 +97,9 @@ class StaticPath:
         ts = np.asarray(ts, dtype=float)
         return np.broadcast_to(self.point, ts.shape + (3,)).copy()
 
+    def offset(self, ts: np.ndarray) -> np.ndarray:
+        return np.zeros(np.shape(ts) + (3,))
+
     def velocity(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         return np.zeros(ts.shape + (3,))
@@ -147,9 +150,11 @@ class SplitPath:
         down = _smoothstep_rate((ts - self.t0 - self.ramp - self.hold) / self.ramp)
         return self.amplitude * (up - down) / self.ramp
 
+    def offset(self, ts: np.ndarray) -> np.ndarray:
+        return self.displacement(ts)[..., None] * self.axis
+
     def position(self, ts: np.ndarray) -> np.ndarray:
-        d = self.displacement(ts)
-        return self.base + d[..., None] * self.axis
+        return self.base + self.offset(ts)
 
     def velocity(self, ts: np.ndarray) -> np.ndarray:
         r = self.displacement_rate(ts)
@@ -188,15 +193,16 @@ class Worldline:
 
     def position(self, ts) -> np.ndarray:
         """Spatial position, applying the static extension outside the window."""
-        ts = np.asarray(ts, dtype=float)
-        tc = np.clip(ts, self.window[0], self.window[1])
-        return self.path.position(tc)
+        return self.path.position(np.clip(np.asarray(ts, dtype=float), *self.window))
+
+    def offset(self, ts) -> np.ndarray:
+        """Displacement from the path's rest point, formed without subtracting it."""
+        return self.path.offset(np.clip(np.asarray(ts, dtype=float), *self.window))
 
     def velocity(self, ts) -> np.ndarray:
         """Velocity; identically zero outside the window (frozen endpoints)."""
         ts = np.asarray(ts, dtype=float)
-        tc = np.clip(ts, self.window[0], self.window[1])
-        v = self.path.velocity(tc)
+        v = self.path.velocity(np.clip(ts, *self.window))
         inside = (ts >= self.window[0]) & (ts <= self.window[1])
         return np.where(inside[..., None], v, 0.0)
 

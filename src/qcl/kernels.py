@@ -171,59 +171,52 @@ def smeared_coulomb(r, charge: float, spec: KernelSpec):
 
 
 # ---------------------------------------------------------------------------
-# Retarded/advanced light-cone crossings and Lienard-Wiechert potentials.
-# These use the bare (unsmeared) cone: sources are worldlines with sharp
-# support, so a branch difference vanishes identically wherever both
-# branches' crossing times land outside the split window.
+# Retarded/advanced light-cone crossings and Lienard-Wiechert potentials on
+# the bare (unsmeared) cone.  A branch difference vanishes identically where
+# both branches' crossings land outside the split window: a split source rests
+# there, and the rest-point certificate gives both the same closed-form time.
 
 
 def _light_cone_times(events: np.ndarray, w: Worldline, *, advanced: bool) -> np.ndarray:
     """Vectorized light-cone crossing times for events of shape (N, 4).
 
-    Solves t - tau = |x - X(tau)| (retarded) or tau - t = |x - X(tau)|
-    (advanced) by bisection on the strictly monotone crossing function.
-    Bisection is branch-free and deterministic: identical inputs give
-    bitwise identical outputs, which downstream exact-cancellation
-    arguments rely on.  The worldline is evaluated with its static
-    extension, so a crossing always exists and is unique (speeds < 1).
+    Solves f(tau) = tau - t +- |x - X(tau)| = 0 (upper sign retarded).  First,
+    tau0 = t -+ |x - X_rest|, X_rest = X(window start), is the root wherever
+    X(tau0) equals X_rest bitwise: by this rest-point certificate a pair's
+    branches get equal times wherever the crossing is outside the split window.
+    Other events run Newton on f' = 1 -+ R_hat.v, in (0, 2) for speeds below 1,
+    bracketed by the frozen endpoint.  Raises ArithmeticError on no convergence.
     """
     events = np.asarray(events, dtype=float)
-    t = events[:, 0]
-    x = events[:, 1:]
-
-    t0, t1 = w.window
-    # Bound the source's distance from each event over all time.  The
-    # path stays within h/2 of its nearest window sample (speed < 1), so
-    # the sampled bounding ball padded by half the sample spacing
-    # encloses it rigorously; frozen endpoints add nothing beyond that.
-    ts_probe = np.linspace(t0, t1, 256)
-    pts = w.position(ts_probe)
-    center = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
-    radius = float(np.linalg.norm(pts - center, axis=-1).max())
-    radius += 0.5 * (t1 - t0) / 255.0 + 1e-9
-    d_center = np.linalg.norm(x - center, axis=-1)
-    d_max = d_center + radius
-
-    if advanced:
-        lo = t.copy()
-        hi = t + d_max + 1.0
-    else:
-        lo = t - d_max - 1.0
-        hi = t.copy()
-
-    def g(tau: np.ndarray) -> np.ndarray:
-        r = np.linalg.norm(x - w.position(tau), axis=-1)
-        return (tau - t) - r if advanced else (t - tau) - r
-
-    # g is increasing in tau for the advanced case, decreasing for the
-    # retarded case; normalize so the root is a sign change from - to +.
+    t, x = events[:, 0], events[:, 1:]
     sgn = 1.0 if advanced else -1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        pos = sgn * g(mid) >= 0.0
-        hi = np.where(pos, mid, hi)
-        lo = np.where(pos, lo, mid)
-    return 0.5 * (lo + hi)
+    rest = w.position(w.window[0])
+    out = t + sgn * np.linalg.norm(x - rest, axis=-1)
+    pos = w.position(out)
+    todo = np.flatnonzero(np.any(pos != rest, axis=-1))
+    t, x, tau, pos = t[todo], x[todo], out[todo], pos[todo]
+    edge = w.window[1] if advanced else w.window[0]
+    far = (np.maximum if advanced else np.minimum)(t, edge)
+    far = far + sgn * np.linalg.norm(x - w.position(edge), axis=-1)
+    lo, hi = (t, far) if advanced else (far, t)  # f(lo) <= 0 <= f(hi)
+    for _ in range(100):
+        if not todo.size:
+            return out
+        rvec = x - pos
+        r = np.linalg.norm(rvec, axis=-1)
+        f = tau - t - sgn * r
+        lo, hi = np.where(f <= 0.0, tau, lo), np.where(f >= 0.0, tau, hi)
+        slope = 1.0 + sgn * np.sum(rvec * w.velocity(tau), axis=-1) / np.where(r > 0.0, r, 1.0)
+        # Converged steps stand; others land strictly inside the bracket or bisect it.
+        tol = 4.0 * np.spacing(np.abs(t) + r + np.abs(x).max(axis=-1))
+        step = tau - f / slope
+        ok = (np.abs(step - tau) <= tol) | ((lo < step) & (step < hi))
+        step = np.where(ok, step, 0.5 * (lo + hi))
+        done = np.abs(step - tau) <= tol
+        out[todo[done]] = step[done]
+        todo, t, x, tau, lo, hi = (a[~done] for a in (todo, t, x, step, lo, hi))
+        pos = w.position(tau)
+    raise ArithmeticError(f"light-cone solve did not converge for {todo.size} events")
 
 
 def retarded_time(
@@ -232,9 +225,10 @@ def retarded_time(
     """Emission time on w whose forward light cone passes through event x.
 
     With ``advanced=True``, the absorption time whose backward light cone
-    does.  Returns None when the worldline has extend="none" and the
-    crossing would fall outside its window (no source exists there).  The
-    root is verified to satisfy ||t - tau| - |x - X(tau)|| <= residual_tol.
+    does: t -+ |x - X_rest| where the source rests (the rest-point certificate
+    of :func:`_light_cone_times`), bracketed Newton elsewhere.  None when
+    extend="none" and the crossing leaves the window (no source there);
+    raises ArithmeticError if ||t - tau| - |x - X(tau)|| > residual_tol.
     """
     e = _event_array(x)
     tau = float(_light_cone_times(e[None, :], w, advanced=advanced)[0])

@@ -70,3 +70,35 @@ def background_phase_term(pair, field, rtol: float = 1e-10) -> float:
 
     val, _ = quad(integrand, a, b, epsabs=1e-13, epsrel=rtol, limit=200)
     return val
+
+
+def light_cone_bisection(events, w, *, advanced: bool) -> np.ndarray:
+    """Light-cone crossing times of events (N, 4) on worldline w by plain bisection.
+
+    Solves t - tau = |x - X(tau)| (retarded) or tau - t = |x - X(tau)|
+    (advanced) with 80 halvings of a bracket built from a 256-point
+    bounding ball of the path: no closed form, no derivative, only the
+    sign of the crossing function.
+    """
+    events = np.asarray(events, dtype=float)
+    t = events[:, 0]
+    x = events[:, 1:]
+    t0, t1 = w.window
+    # The path stays within h/2 of its nearest sample (speed < 1), so the
+    # sampled ball padded by half the spacing encloses it.
+    pts = w.position(np.linspace(t0, t1, 256))
+    center = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
+    radius = float(np.linalg.norm(pts - center, axis=-1).max()) + 0.5 * (t1 - t0) / 255.0 + 1e-9
+    d_max = np.linalg.norm(x - center, axis=-1) + radius
+    if advanced:
+        lo, hi = t.copy(), t + d_max + 1.0
+    else:
+        lo, hi = t - d_max - 1.0, t.copy()
+    sgn = 1.0 if advanced else -1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        r = np.linalg.norm(x - w.position(mid), axis=-1)
+        after = (mid - t) - sgn * r >= 0.0  # mid at or past the crossing
+        hi = np.where(after, mid, hi)
+        lo = np.where(after, lo, mid)
+    return 0.5 * (lo + hi)

@@ -16,8 +16,9 @@ from qcl.functionals import (
     phi_self,
     retarded_field_difference,
 )
-from qcl.geometry import Scenario, make_branch_pair
+from qcl.geometry import Scenario, causal_margin, make_branch_pair
 from qcl.kernels import KernelSpec, coulomb_background, pure_gauge_background
+from qcl.quantum import rho_A
 
 import oracles
 from conftest import mutual_scenario, one_way_scenario, spacelike_scenario
@@ -51,6 +52,22 @@ class TestPhiSelf:
     def test_mirror_pair_has_zero_own_phase(self, spec):
         pair = make_branch_pair("A", 0.7, 0.4, 0.8, 1.0, charge=1.1)
         assert phi_self(pair, spec) == 0.0
+
+    @pytest.mark.parametrize("base, axis", [
+        ((0.0, 0.3, 0.0), (0.0, 1.0, 0.0)),
+        ((3.1, 0.3, -0.2), (0.0, 1.0, 0.0)),
+        ((3.1, 0.3, -0.2), (0.3, 1.0, -0.4)),
+    ])
+    def test_rest_point_off_the_origin(self, spec, base, axis):
+        # Separations within a pair come from the offsets d * axis, which
+        # are exact negatives for the two branches.  Formed as base + d *
+        # axis they would round differently for +d and -d, leaving noise
+        # that phi_self cannot converge on (NumericFailure).
+        pair = make_branch_pair("B", 0.6, 0.4, 0.9, 0.8, base=base, axis=axis,
+                                window=(0.0, 3.5))
+        at_origin = make_branch_pair("B", 0.6, 0.4, 0.9, 0.8, axis=axis, window=(0.0, 3.5))
+        assert phi_self(pair, spec) == 0.0
+        assert gamma(pair, spec) == gamma(at_origin, spec)
 
     def test_coulomb_background_term(self, spec):
         # An external charge off the split's mirror plane breaks the
@@ -101,6 +118,54 @@ class TestPairingPhases:
         s = mutual_scenario(rng)
         assert phi_pairing(s.pair_A, s.pair_B, s.kernel) != 0.0
         assert phi_pairing(s.pair_B, s.pair_A, s.kernel) != 0.0
+
+
+def _relaid(pair, base, axis, **split):
+    """The split of ``pair`` (L, ramp, hold overridable) resting at base along axis."""
+    p = pair.right.path
+    kw = {"L": 2.0 * p.amplitude, "ramp": p.ramp, "hold": p.hold, **split}
+    return make_branch_pair(pair.label, kw["L"], p.t0, kw["ramp"], kw["hold"],
+                            charge=pair.charge, base=base, axis=axis, window=pair.window)
+
+
+def _off_axis(s):
+    """Scenario s with B at (D, y0, z0) and both splits along tilted axes."""
+    return dataclasses.replace(
+        s,
+        pair_A=_relaid(s.pair_A, (0.0, 0.0, 0.0), (0.2, 1.0, 0.5)),
+        pair_B=_relaid(s.pair_B, (s.D, 0.7, -0.4), (-0.6, 0.8, 0.3)),
+    )
+
+
+class TestOffAxisNoSignalling:
+    # No mirror symmetry here: each per-branch pairing carries the other
+    # particle's Coulomb phase, and only causality makes the branch
+    # difference vanish.
+
+    def test_spacelike_cross_phases_are_exact_zeros(self, rng):
+        s = _off_axis(spacelike_scenario(rng))
+        assert s.spacelike
+        rep = build_report(s)
+        assert rep.phi_A_BR != 0.0 and rep.phi_B_AR != 0.0
+        assert rep.phi_AB == 0.0
+        assert rep.phi_BA == 0.0
+
+    def test_spacelike_rho_A_ignores_B_split_choices(self, rng):
+        s = _off_axis(spacelike_scenario(rng))
+        want = rho_A(build_report(s)).matrix
+        p = s.pair_B.right.path
+        for split in ({"L": p.amplitude}, {"ramp": 0.8 * p.ramp}, {"hold": 0.5 * p.hold}):
+            pair_b = _relaid(s.pair_B, p.base, p.axis, **split)
+            varied = dataclasses.replace(s, pair_B=pair_b)
+            assert varied.spacelike
+            assert np.array_equal(rho_A(build_report(varied)).matrix, want), split
+
+    def test_one_way_influence_is_directional(self, rng):
+        s = _off_axis(one_way_scenario(rng))
+        assert causal_margin(s.pair_A, s.pair_B) > 0.0
+        rep = build_report(s)
+        assert rep.phi_AB == 0.0
+        assert rep.phi_BA != 0.0
 
 
 class TestCommutator:

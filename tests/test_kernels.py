@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from qcl.geometry import Worldline, make_split_path
+import qcl.kernels
+from qcl.functionals import build_report
+from qcl.geometry import StaticPath, Worldline, make_branch_pair, make_split_path
 from qcl.kernels import (
     KernelSpec,
     SingularityError,
@@ -25,6 +27,7 @@ from qcl.kernels import (
 )
 
 import oracles
+from conftest import mutual_scenario
 
 SIGMA = 0.07
 
@@ -233,6 +236,98 @@ class TestLightConeCrossings:
             x = base + dist * direction
             out = lienard_wiechert((t, *x), w)
             assert np.array_equal(out, zeros)
+
+
+class TestLightConeSolver:
+    """The closed-form and Newton solve against the bisection oracle."""
+
+    @staticmethod
+    def moving_pairs(rng, n):
+        # Tilted axes and rest points off every symmetry plane; peak
+        # speeds up to about 0.72, above the lab's generators.
+        for _ in range(n):
+            L = rng.uniform(0.3, 0.85)
+            yield make_branch_pair(
+                "B", L, 0.4, L * rng.uniform(1.3, 1.9), rng.uniform(0.2, 1.0),
+                base=rng.uniform(-2.0, 2.0, size=3), axis=rng.normal(size=3),
+                window=(0.0, 5.0),
+            )
+
+    @staticmethod
+    def events(rng, n):
+        return np.column_stack([rng.uniform(-1.0, 6.0, n), rng.uniform(-3.0, 3.0, (n, 3))])
+
+    @pytest.mark.parametrize("advanced", [False, True])
+    def test_matches_bisection_oracle(self, advanced):
+        rng = np.random.default_rng(41)
+        for pair in self.moving_pairs(rng, 12):
+            ev = self.events(rng, 400)
+            for w in (pair.right, pair.left):
+                tau = qcl.kernels._light_cone_times(ev, w, advanced=advanced)
+                want = oracles.light_cone_bisection(ev, w, advanced=advanced)
+                assert np.max(np.abs(tau - want)) <= 1e-14
+
+    @pytest.mark.parametrize("advanced", [False, True])
+    def test_lag_equals_distance_on_moving_branches(self, advanced):
+        rng = np.random.default_rng(42)
+        for pair in self.moving_pairs(rng, 12):
+            ev = self.events(rng, 400)
+            for w in (pair.right, pair.left):
+                tau = qcl.kernels._light_cone_times(ev, w, advanced=advanced)
+                r = np.linalg.norm(ev[:, 1:] - w.position(tau), axis=-1)
+                lag = tau - ev[:, 0] if advanced else ev[:, 0] - tau
+                assert np.all(np.abs(lag - r) <= 1e-14 * (1.0 + np.abs(ev[:, 0])))
+
+    @pytest.mark.parametrize("advanced", [False, True])
+    def test_branches_agree_bitwise_outside_split_window(self, advanced):
+        rng = np.random.default_rng(43)
+        outside = inside = 0
+        for pair in self.moving_pairs(rng, 12):
+            ev = self.events(rng, 400)
+            a, b = pair.split_window
+            tau_r = qcl.kernels._light_cone_times(ev, pair.right, advanced=advanced)
+            tau_l = qcl.kernels._light_cone_times(ev, pair.left, advanced=advanced)
+            out = (tau_r < a) | (tau_r > b)
+            assert np.array_equal(tau_r[out], tau_l[out])
+            outside += int(out.sum())
+            inside += int(np.sum(tau_r[~out] != tau_l[~out]))
+        assert outside > 1000 and inside > 100
+
+    def test_static_path_is_closed_form(self):
+        rng = np.random.default_rng(44)
+        p = np.array([0.3, -1.7, 2.2])
+        w = Worldline(1.0, (0.0, 2.0), StaticPath(p))
+        ev = self.events(rng, 500)
+        d = np.linalg.norm(ev[:, 1:] - p, axis=-1)
+        assert np.array_equal(qcl.kernels._light_cone_times(ev, w, advanced=False), ev[:, 0] - d)
+        assert np.array_equal(qcl.kernels._light_cone_times(ev, w, advanced=True), ev[:, 0] + d)
+
+    def test_position_work_per_event_is_bounded(self, monkeypatch):
+        # Counts Worldline.position points evaluated inside the solve over
+        # one mutual report.  The closed form costs 1 per event and Newton
+        # a few more; a solve that fell back to bisection would cost ~60.
+        s = mutual_scenario(np.random.default_rng(0))
+        counts = {"events": 0, "points": 0, "inside": False}
+        solve, position = qcl.kernels._light_cone_times, Worldline.position
+
+        def counted_solve(events, w, *, advanced):
+            counts["events"] += len(events)
+            counts["inside"] = True
+            try:
+                return solve(events, w, advanced=advanced)
+            finally:
+                counts["inside"] = False
+
+        def counted_position(self, ts):
+            if counts["inside"]:
+                counts["points"] += int(np.size(ts))
+            return position(self, ts)
+
+        monkeypatch.setattr(qcl.kernels, "_light_cone_times", counted_solve)
+        monkeypatch.setattr(Worldline, "position", counted_position)
+        build_report(s)
+        assert counts["events"] > 1000
+        assert counts["points"] <= 8 * counts["events"]
 
 
 class TestBackgroundFields:
