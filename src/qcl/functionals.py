@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BranchPair, Scenario, SplitPath, Worldline, causal_margin
+from .geometry import BranchPair, Scenario, Worldline, causal_margin
 from .kernels import KernelSpec, _lw_batch, hadamard_dt_r, lienard_wiechert, retarded_kernel
 from .quadrature import NumericFailure, adaptive_1d, adaptive_2d, panel_gauss_nodes
 
@@ -52,26 +52,36 @@ __all__ = [
 # Dephasing exponent, position-space route.
 
 
-def _gamma_with_error(pair: BranchPair, spec: KernelSpec) -> tuple[float, float]:
-    a, b = pair.split_window
-    knots = pair.split_knots()
-    branches = pair.branches()
+def _gamma_integrand(pair: BranchPair, spec: KernelSpec):
+    """Gamma's (t, u) integrand before the factor q^2/4 (see :func:`gamma`)."""
+    m = pair.mirror_path()
 
-    def integrand(ts: np.ndarray, us: np.ndarray) -> np.ndarray:
+    def mirror(ts: np.ndarray, us: np.ndarray) -> np.ndarray:
+        d_t, d_u = m.displacement(ts), m.displacement(us)
+        rr = m.displacement_rate(ts) * m.displacement_rate(us)
+        lag = ts - us
+        return 2.0 * ((rr - 1.0) * hadamard_dt_r(lag, np.abs(d_t - d_u), spec)
+                      + (rr + 1.0) * hadamard_dt_r(lag, np.abs(d_t + d_u), spec))
+
+    def general(ts: np.ndarray, us: np.ndarray) -> np.ndarray:
         total = np.zeros_like(ts)
-        for wp, sp in branches:
-            xp = wp.offset(ts)
-            vp = wp.velocity(ts)
-            for wq, sq in branches:
-                xq = wq.offset(us)
-                vq = wq.velocity(us)
+        for wp, sp in pair.branches():
+            xp, vp = wp.offset(ts), wp.velocity(ts)
+            for wq, sq in pair.branches():
+                xq, vq = wq.offset(us), wq.velocity(us)
                 r = np.linalg.norm(xp - xq, axis=-1)
                 vv = np.sum(vp * vq, axis=-1)
                 total += sp * sq * (vv - 1.0) * hadamard_dt_r(ts - us, r, spec)
         return total
 
+    return general if m is None else mirror
+
+
+def _gamma_with_error(pair: BranchPair, spec: KernelSpec) -> tuple[float, float]:
+    a, b = pair.split_window
+    knots = pair.split_knots()
     val, err = adaptive_2d(
-        integrand, (a, b), (a, b),
+        _gamma_integrand(pair, spec), (a, b), (a, b),
         tol=spec.quad_tol, knots_x=knots, knots_y=knots,
         name=f"gamma[{pair.label}]",
     )
@@ -94,6 +104,11 @@ def gamma(pair: BranchPair, spec: KernelSpec) -> float:
     with K the smeared symmetric kernel and s_R = +1, s_L = -1.  The
     result is non-negative for any conserved branch-difference current;
     a value below minus the quadrature error raises NumericFailure.
+
+    On a mirror pair (BranchPair.mirror_path) RR = LL and RL = LR, so with
+    d, rho the right branch's displacement and rate the integrand is
+    2 [(rho_t rho_u - 1) K(t - u, |d_t - d_u|) + (rho_t rho_u + 1) K(t - u, |d_t + d_u|)]:
+    two scalar kernel calls per point, free of the axis and the rest point.
     """
     return _gamma_with_error(pair, spec)[0]
 
@@ -103,24 +118,17 @@ def gamma(pair: BranchPair, spec: KernelSpec) -> float:
 
 
 def _split_profiles(pair: BranchPair):
-    """Common base/axis and per-branch displacement profiles of a split pair.
+    """Per-branch (displacement, rate) profiles of a pair split along one axis.
 
-    The momentum-space reduction assumes the two branches move along one
-    fixed axis through a common rest point, which is what SplitPath
-    provides.  Returns (displacement_fn, rate_fn) pairs for each branch
-    with the amplitude sign folded in.
+    The momentum-space reduction needs both branches on one fixed axis
+    through one rest point: the exact structural check of
+    :meth:`BranchPair.split_paths`, which Gamma's mirror test builds on.
     """
-    pr, pl = pair.right.path, pair.left.path
-    if not (isinstance(pr, SplitPath) and isinstance(pl, SplitPath)):
-        raise ValueError("momentum-space gamma needs SplitPath branches")
-    if not np.allclose(pr.base, pl.base, atol=1e-14):
-        raise ValueError("branches must share a rest point")
-    if not np.allclose(pr.axis, pl.axis, atol=1e-14):
-        raise ValueError("branches must share a displacement axis")
-    return (
-        (pr.displacement, pr.displacement_rate),
-        (pl.displacement, pl.displacement_rate),
-    )
+    paths = pair.split_paths()
+    if paths is None:
+        raise ValueError("momentum-space gamma needs SplitPath branches sharing "
+                         "base, axis, window and extend")
+    return tuple((p.displacement, p.displacement_rate) for p in paths)
 
 
 def _gamma_momentum_pass(pair: BranchPair, spec: KernelSpec, bump: int) -> float:

@@ -299,6 +299,28 @@ class BranchPair:
         inner = [k for k in self.knots() if a < k < b]
         return [a, *inner, b]
 
+    def split_paths(self) -> tuple[SplitPath, SplitPath] | None:
+        """Both SplitPaths if they share base, axis, window and extend exactly, else None."""
+        pr, pl = self.right.path, self.left.path
+        shared = (isinstance(pr, SplitPath) and isinstance(pl, SplitPath)
+                  and np.array_equal(pr.base, pl.base) and np.array_equal(pr.axis, pl.axis)
+                  and (self.right.window, self.right.extend) == (self.left.window, self.left.extend))
+        return (pr, pl) if shared else None
+
+    def mirror_path(self) -> SplitPath | None:
+        """The right path if the left one is its exact mirror image, else None.
+
+        Exact comparisons, as make_branch_pair builds its pairs: split_paths
+        holds, t0, ramp and hold are equal, the amplitudes are negatives (so
+        d_L(t) = -d_R(t) bitwise) and the split window lies inside the window.
+        """
+        paths = self.split_paths()
+        if paths is None:
+            return None
+        (pr, pl), (w0, w1), (a, b) = paths, self.window, self.split_window
+        same = (pr.t0, pr.ramp, pr.hold, pr.amplitude) == (pl.t0, pl.ramp, pl.hold, -pl.amplitude)
+        return pr if same and w0 <= a and b <= w1 else None
+
 
 def make_branch_pair(
     label: str,

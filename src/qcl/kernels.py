@@ -112,13 +112,12 @@ def hadamard_dt_r(dt, r, spec: KernelSpec):
     r = np.asarray(r, dtype=float)
     dt, r = np.broadcast_arrays(dt, r)
     small = r < 1e-7 * s
-    r_safe = np.where(small, 1.0, r)
-    direct = (dawsn((r + dt) / (2.0 * s)) + dawsn((r - dt) / (2.0 * s))) / (
-        2.0 * _TWO_PI_SQ * s * r_safe
-    )
-    u = dt / (2.0 * s)
-    limit = (1.0 - 2.0 * u * dawsn(u)) / (2.0 * _TWO_PI_SQ * s * s)
-    out = np.where(small, limit, direct)
+    out = np.asarray((dawsn((r + dt) / (2.0 * s)) + dawsn((r - dt) / (2.0 * s))) / (
+        2.0 * _TWO_PI_SQ * s * np.where(small, 1.0, r)
+    ))
+    if small.any():  # the r -> 0 limit, evaluated only where it is used
+        u = dt[small] / (2.0 * s)
+        out[small] = (1.0 - 2.0 * u * dawsn(u)) / (2.0 * _TWO_PI_SQ * s * s)
     return out if out.ndim else float(out)
 
 

@@ -1,12 +1,15 @@
 """Dephasing and phase functionals: exact cancellations, cross-route checks."""
 
+import copy
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import qcl.functionals
 from qcl.functionals import (
+    _gamma_integrand,
     build_report,
     branch_pairing,
     commutator_functional,
@@ -16,8 +19,10 @@ from qcl.functionals import (
     phi_self,
     retarded_field_difference,
 )
-from qcl.geometry import Scenario, causal_margin, make_branch_pair
+from qcl.geometry import BranchPair, Scenario, causal_margin, make_branch_pair, make_split_path
 from qcl.kernels import KernelSpec, coulomb_background, pure_gauge_background
+from qcl.modes import pair_mode_set
+from qcl.quadrature import panel_gauss_nodes
 from qcl.quantum import rho_A
 
 import oracles
@@ -46,6 +51,122 @@ class TestGamma:
         a = gamma(pair, spec)
         b = gamma_momentum(pair, spec)
         assert abs(a - b) / a < 1e-4
+
+
+class _Disguised:
+    """The same path behind a type the pair-shape checks do not recognise."""
+
+    def __init__(self, path):
+        self._path = path
+
+    def __getattr__(self, name):
+        return getattr(self._path, name)
+
+
+def _four_term(pair):
+    """The pair with its left path disguised: same geometry, general Gamma integrand."""
+    return dataclasses.replace(pair, left=dataclasses.replace(pair.left, path=_Disguised(pair.left.path)))
+
+
+def _gamma_work(monkeypatch, pair, spec):
+    """Gamma with its adaptive_2d integrand points and hadamard_dt_r points counted."""
+    counts = {"integrand": 0, "hadamard": 0}
+    quad, kernel = qcl.functionals.adaptive_2d, qcl.functionals.hadamard_dt_r
+
+    def counted_quad(f, *args, **kwargs):
+        def counted_f(ts, us):
+            counts["integrand"] += ts.size
+            return f(ts, us)
+        return quad(counted_f, *args, **kwargs)
+
+    def counted_kernel(dt, r, s):
+        counts["hadamard"] += np.broadcast(dt, r).size
+        return kernel(dt, r, s)
+
+    monkeypatch.setattr(qcl.functionals, "adaptive_2d", counted_quad)
+    monkeypatch.setattr(qcl.functionals, "hadamard_dt_r", counted_kernel)
+    return gamma(pair, spec), counts
+
+
+class TestGammaMirrorPath:
+    def test_make_branch_pair_is_a_mirror(self):
+        pair = make_branch_pair("A", 0.6, 0.3, 0.9, 0.8, base=(1.0, -2.0, 0.5), axis=(0.3, 1.0, -0.4))
+        assert pair.mirror_path() is pair.right.path
+        assert _four_term(pair).mirror_path() is None
+        assert make_branch_pair("A", 0.0, 0.3, 0.9, 0.8).mirror_path() is not None
+
+    def test_mirror_matches_four_term_integrand(self):
+        # Both routes hand the kernel the same separations up to their last
+        # bits.  Near coincidence (0 < r << sigma) the direct Dawson form
+        # loses digits as sigma / r (see TestHadamardKernel), so the bound
+        # is 1e-14 of the integrand's scale plus that rounding of the kernel.
+        rng = np.random.default_rng(717)
+        eps = np.finfo(float).eps
+        for _ in range(10):
+            L = rng.uniform(0.3, 0.8)
+            sigma = rng.uniform(0.05, 0.09)
+            spec = KernelSpec(sigma=sigma)
+            pair = make_branch_pair("P", L, rng.uniform(0.2, 0.5), L * rng.uniform(1.3, 1.8),
+                                    rng.uniform(0.2, 1.2), base=rng.uniform(-3.0, 3.0, 3),
+                                    axis=rng.normal(size=3))
+            a, b = pair.split_window
+            nodes, _ = panel_gauss_nodes(a, b, 12, 8)
+            ts, us = (x.ravel() for x in np.meshgrid(nodes, nodes))
+            ts = np.concatenate([ts, rng.uniform(a, b, 8000)])
+            us = np.concatenate([us, rng.uniform(a, b, 8000)])
+            mirror = _gamma_integrand(pair, spec)(ts, us)
+            general = _gamma_integrand(_four_term(pair), spec)(ts, us)
+            d_t, d_u = pair.right.path.displacement(ts), pair.right.path.displacement(us)
+            seps = np.stack([np.abs(d_t - d_u), np.abs(d_t + d_u)])
+            r_near = np.maximum(np.where(seps > 0.0, seps, np.inf).min(axis=0), 1e-7 * sigma)
+            bound = 1e-14 * np.abs(general).max() + 16.0 * eps / (math.pi ** 2 * sigma * r_near)
+            assert np.all(np.abs(mirror - general) <= bound)
+
+    def test_asymmetric_pair_takes_the_four_term_path(self, spec, monkeypatch):
+        right = make_split_path(0.6, 0.3, 0.9, 0.8, charge=1.2)
+        left = make_split_path(0.4, 0.3, 0.9, 0.8, charge=1.2, orientation=-1.0)
+        pair = BranchPair("A", right, left, (0.3, 0.3 + 2 * 0.9 + 0.8))
+        assert (right.path.amplitude, left.path.amplitude) == (0.3, -0.2)
+        assert pair.mirror_path() is None and pair.split_paths() is not None
+        value, counts = _gamma_work(monkeypatch, pair, spec)
+        assert counts["hadamard"] == 4 * counts["integrand"] > 0
+        assert abs(value - gamma_momentum(pair, spec)) / value < 1e-4
+
+    def test_mirror_work_count(self, spec, monkeypatch):
+        # Two kernel points per integrand point: a silent fallback to the
+        # four-term integrand doubles this.  The integrand point count is
+        # the four-term route's, frozen: the mirror path changes the cost
+        # of a point, not which points the quadrature asks for.
+        pair = make_branch_pair("A", 0.6, 0.3, 0.9, 0.8, charge=1.2)
+        _, counts = _gamma_work(monkeypatch, pair, spec)
+        assert counts["integrand"] == 106_880
+        assert counts["hadamard"] == 2 * counts["integrand"]
+
+    @pytest.mark.parametrize("base, axis", [
+        ((0.0, 0.0, 0.0), (0.3, 1.0, -0.4)),
+        ((3.1, 0.3, -0.2), (0.0, 1.0, 0.0)),
+        ((-1.7, 2.2, 0.9), (1.0, 1.0, 1.0)),
+        ((0.4, -0.5, 6.0), (-0.6, 0.8, 0.3)),
+    ])
+    def test_bitwise_invariant_under_axis_and_rest_point(self, spec, base, axis):
+        standard = make_branch_pair("A", 0.6, 0.3, 0.9, 0.8, charge=1.2)
+        moved = make_branch_pair("A", 0.6, 0.3, 0.9, 0.8, charge=1.2, base=base, axis=axis)
+        assert gamma(moved, spec) == gamma(standard, spec)
+
+    def test_pair_shape_is_exact(self, spec):
+        # One definition of pair shape for Gamma and the momentum route: a
+        # rest point or axis that differs in its last bit is not shared.
+        pair = make_branch_pair("A", 0.6, 0.3, 0.9, 0.8)
+        for changes in ({"base": np.array([0.0, 1e-15, 0.0])},
+                        {"axis": np.array([1e-16, 1.0, 0.0])}):
+            nudged = dataclasses.replace(pair, left=dataclasses.replace(
+                pair.left, path=copy.copy(pair.left.path)))
+            vars(nudged.left.path).update(changes)
+            assert nudged.split_paths() is None and nudged.mirror_path() is None
+            with pytest.raises(ValueError, match="sharing base, axis"):
+                gamma_momentum(nudged, spec)
+            with pytest.raises(ValueError, match="sharing base, axis"):
+                pair_mode_set(nudged, spec)
 
 
 class TestPhiSelf:

@@ -83,6 +83,24 @@ class TestHadamardKernel:
             above = hadamard_dt_r(dt, 1.01 * thr, spec)
             assert below == pytest.approx(above, rel=1e-7)
 
+    def test_array_equals_scalar_calls_bitwise(self, spec):
+        # The r -> 0 limit is evaluated only where r < 1e-7 sigma; on an
+        # array mixing both branches every element must still be exactly
+        # what a scalar call returns, and a scalar call returns a float.
+        rng = np.random.default_rng(31)
+        r = np.concatenate([np.zeros(40), rng.uniform(0.0, 1e-7 * SIGMA, 40),
+                            rng.uniform(1e-7 * SIGMA, 2.0, 120)])
+        rng.shuffle(r)
+        dt = rng.uniform(-3.0, 3.0, r.size)
+        dt[:10] = 0.0
+        got = hadamard_dt_r(dt, r, spec)
+        scalars = [hadamard_dt_r(float(a), float(b), spec) for a, b in zip(dt, r)]
+        assert all(type(v) is float for v in scalars)
+        assert got.view(np.int64).tolist() == np.array(scalars).view(np.int64).tolist()
+        grid = hadamard_dt_r(dt[:20, None], r[None, :30], spec)
+        assert grid.shape == (20, 30)
+        assert np.array_equal(grid[7], hadamard_dt_r(dt[7], r[:30], spec))
+
     @given(dt=st.floats(-3.0, 3.0), r=st.floats(0.0, 2.0))
     @settings(max_examples=200, deadline=None)
     def test_even_in_time_lag(self, dt, r):
