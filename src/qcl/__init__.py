@@ -13,14 +13,10 @@ the phase operators.
 from .geometry import (
     BranchPair,
     Scenario,
-    Separation,
     Worldline,
     causal_margin,
-    current_sample,
-    interval_class,
     make_branch_pair,
     make_split_path,
-    validate_branch_pair,
 )
 from .kernels import (
     KernelSpec,
@@ -40,7 +36,6 @@ from .functionals import (
     gamma_momentum,
     phi_pairing,
     phi_self,
-    retarded_field_difference,
 )
 from .quantum import (
     DensityMatrix2,
@@ -76,13 +71,9 @@ __all__ = [
     "BranchPair",
     "Scenario",
     "Worldline",
-    "Separation",
     "causal_margin",
-    "current_sample",
-    "interval_class",
     "make_branch_pair",
     "make_split_path",
-    "validate_branch_pair",
     "KernelSpec",
     "SingularityError",
     "coulomb_background",
@@ -100,7 +91,6 @@ __all__ = [
     "gamma_momentum",
     "phi_pairing",
     "phi_self",
-    "retarded_field_difference",
     "DensityMatrix2",
     "distinguishability",
     "rho_A",

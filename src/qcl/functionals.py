@@ -5,8 +5,9 @@ current Delta J = J_R - J_L couples to the photon field and produces
 
 * a dephasing exponent Gamma (suppressing interference by exp(-Gamma)),
   the symmetric two-point kernel contracted twice with Delta J;
-* a self phase Phi from the particle's own retarded field and any
-  background field;
+* a self phase Phi from the particle's own retarded field, exactly zero
+  because a BranchPair's left branch mirrors its right one, plus the
+  phase from any background field;
 * pairing phases between two particles, where one particle's branch
   difference probes the retarded field sourced by the other.
 
@@ -14,9 +15,9 @@ All four-dimensional integrals reduce to one- or two-dimensional
 lab-time integrals over the split windows, because branch differences
 vanish identically outside them.
 
-Two deliberately different regularizations appear.  Quantities quadratic
-in a single particle's current (Gamma, the self phase) probe the
-light-cone coincidence limit and use the sigma-smeared kernels.  Pairing
+Two deliberately different regularizations appear.  Gamma, quadratic in
+a single particle's current, probes the light-cone coincidence limit and
+uses the sigma-smeared Hadamard kernel.  Pairing
 quantities between distinct particles are evaluated with the bare
 (sharp-cone) Lienard-Wiechert potential: their integrands stay finite at
 particle separations, and the sharp cone preserves the exact support
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import BranchPair, Scenario, Worldline, causal_margin
-from .kernels import KernelSpec, _lw_batch, hadamard_dt_r, lienard_wiechert, retarded_kernel
+from .kernels import KernelSpec, _lw_batch, hadamard_dt_r
 from .quadrature import NumericFailure, adaptive_1d, adaptive_2d, panel_gauss_nodes
 
 __all__ = [
@@ -43,7 +44,6 @@ __all__ = [
     "phi_pairing",
     "branch_pairing",
     "commutator_functional",
-    "retarded_field_difference",
     "build_report",
 ]
 
@@ -54,27 +54,16 @@ __all__ = [
 
 def _gamma_integrand(pair: BranchPair, spec: KernelSpec):
     """Gamma's (t, u) integrand before the factor q^2/4 (see :func:`gamma`)."""
-    m = pair.mirror_path()
+    p = pair.right.path
 
-    def mirror(ts: np.ndarray, us: np.ndarray) -> np.ndarray:
-        d_t, d_u = m.displacement(ts), m.displacement(us)
-        rr = m.displacement_rate(ts) * m.displacement_rate(us)
+    def integrand(ts: np.ndarray, us: np.ndarray) -> np.ndarray:
+        d_t, d_u = p.displacement(ts), p.displacement(us)
+        rr = p.displacement_rate(ts) * p.displacement_rate(us)
         lag = ts - us
         return 2.0 * ((rr - 1.0) * hadamard_dt_r(lag, np.abs(d_t - d_u), spec)
                       + (rr + 1.0) * hadamard_dt_r(lag, np.abs(d_t + d_u), spec))
 
-    def general(ts: np.ndarray, us: np.ndarray) -> np.ndarray:
-        total = np.zeros_like(ts)
-        for wp, sp in pair.branches():
-            xp, vp = wp.offset(ts), wp.velocity(ts)
-            for wq, sq in pair.branches():
-                xq, vq = wq.offset(us), wq.velocity(us)
-                r = np.linalg.norm(xp - xq, axis=-1)
-                vv = np.sum(vp * vq, axis=-1)
-                total += sp * sq * (vv - 1.0) * hadamard_dt_r(ts - us, r, spec)
-        return total
-
-    return general if m is None else mirror
+    return integrand
 
 
 def _gamma_with_error(pair: BranchPair, spec: KernelSpec) -> tuple[float, float]:
@@ -105,10 +94,11 @@ def gamma(pair: BranchPair, spec: KernelSpec) -> float:
     result is non-negative for any conserved branch-difference current;
     a value below minus the quadrature error raises NumericFailure.
 
-    On a mirror pair (BranchPair.mirror_path) RR = LL and RL = LR, so with
-    d, rho the right branch's displacement and rate the integrand is
-    2 [(rho_t rho_u - 1) K(t - u, |d_t - d_u|) + (rho_t rho_u + 1) K(t - u, |d_t + d_u|)]:
-    two scalar kernel calls per point, free of the axis and the rest point.
+    A BranchPair's left branch mirrors its right one, so RR = LL and
+    RL = LR, and with d, rho the right branch's displacement and rate the
+    integrand is 2 [(rho_t rho_u - 1) K(t - u, |d_t - d_u|)
+    + (rho_t rho_u + 1) K(t - u, |d_t + d_u|)]: two scalar kernel calls
+    per point, free of the axis and the rest point.
     """
     return _gamma_with_error(pair, spec)[0]
 
@@ -117,22 +107,8 @@ def gamma(pair: BranchPair, spec: KernelSpec) -> float:
 # Dephasing exponent, momentum-space route (independent cross-check).
 
 
-def _split_profiles(pair: BranchPair):
-    """Per-branch (displacement, rate) profiles of a pair split along one axis.
-
-    The momentum-space reduction needs both branches on one fixed axis
-    through one rest point: the exact structural check of
-    :meth:`BranchPair.split_paths`, which Gamma's mirror test builds on.
-    """
-    paths = pair.split_paths()
-    if paths is None:
-        raise ValueError("momentum-space gamma needs SplitPath branches sharing "
-                         "base, axis, window and extend")
-    return tuple((p.displacement, p.displacement_rate) for p in paths)
-
-
 def _gamma_momentum_pass(pair: BranchPair, spec: KernelSpec, bump: int) -> float:
-    (disp_r, rate_r), (disp_l, rate_l) = _split_profiles(pair)
+    pr, pl = pair.right.path, pair.left.path
     a, b = pair.split_window
     sigma = spec.sigma
     k_up = min(spec.k_max, 4.5 / sigma)
@@ -147,8 +123,8 @@ def _gamma_momentum_pass(pair: BranchPair, spec: KernelSpec, bump: int) -> float
     mu_n = 48 + 3 * bump
     mun, muw = np.polynomial.legendre.leggauss(mu_n)
 
-    dr, rr = disp_r(tn), rate_r(tn)
-    dl, rl = disp_l(tn), rate_l(tn)
+    dr, rr = pr.displacement(tn), pr.displacement_rate(tn)
+    dl, rl = pl.displacement(tn), pl.displacement_rate(tn)
 
     total = 0.0
     # 2.5e5 elements per k-chunk keep each complex temporary near 4 MB.
@@ -194,61 +170,9 @@ def gamma_momentum(pair: BranchPair, spec: KernelSpec) -> float:
 def _phi_self_with_error(
     pair: BranchPair, spec: KernelSpec, background=None
 ) -> tuple[float, float]:
-    a, b = pair.split_window
-    q = pair.charge
-
-    # Radiated-field term: the branch difference at time t pairs with the
-    # full two-branch source current at earlier times t - w.  Integrating
-    # in the lag w (instead of the source time itself) makes the sharp
-    # time-ordering edge the w = 0 boundary of the domain and lays the
-    # light-cone ridge w ~ r out along the t axis, which the rectangular
-    # panels resolve cheaply.  The kernel dies within a few sigma of the
-    # cone and r never exceeds the pair diameter, so lags beyond
-    # diam + 12 sigma contribute below exp(-36) of any tolerance in use.
-    w_max = _pair_diameter(pair) + 12.0 * spec.sigma
-
-    def combo(wp: Worldline, wq: Worldline, ts: np.ndarray, lags: np.ndarray) -> np.ndarray:
-        us = ts - lags
-        xp, vp = wp.offset(ts), wp.velocity(ts)
-        xq, vq = wq.offset(us), wq.velocity(us)
-        r = np.linalg.norm(xp - xq, axis=-1)
-        vv = np.sum(vp * vq, axis=-1)
-        return (1.0 - vv) * retarded_kernel(lags, r, spec)
-
-    def radiated(ts: np.ndarray, lags: np.ndarray) -> np.ndarray:
-        # Grouping the branch combinations as differences of mirror
-        # partners makes the antisymmetry of a mirror-symmetric pair hold
-        # bitwise (each difference is x - x = 0), instead of leaving
-        # accumulation-order rounding noise for the quadrature to chase.
-        rr = combo(pair.right, pair.right, ts, lags)
-        ll = combo(pair.left, pair.left, ts, lags)
-        rl = combo(pair.right, pair.left, ts, lags)
-        lr = combo(pair.left, pair.right, ts, lags)
-        return (rr - ll) + (rl - lr)
-
-    val, err = adaptive_2d(
-        radiated, (a, b), (0.0, w_max),
-        tol=spec.quad_tol, knots_x=pair.split_knots(),
-        name=f"phi_self[{pair.label}]",
-    )
-    phi = -0.5 * q * q * val
-    err_total = 0.5 * q * q * err
-
-    if background is not None:
-        bg_phi, bg_err = _probe_phase(pair, background, spec, f"phi_background[{pair.label}]")
-        phi += bg_phi
-        err_total += bg_err
-    return phi, err_total
-
-
-def _pair_diameter(pair: BranchPair) -> float:
-    """Upper bound on the distance between any two branch positions."""
-    t0, t1 = pair.window
-    ts = np.linspace(t0, t1, 256)
-    pts = np.concatenate([pair.right.position(ts), pair.left.position(ts)])
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
-    pad = (t1 - t0) / 255.0  # Lipschitz slack, speeds < 1
-    return float(np.linalg.norm(hi - lo)) + pad
+    if background is None:
+        return -0.0, 0.0  # the own-field phase, -(q^2/2) * (+0.0)
+    return _probe_phase(pair, background, spec, f"phi_background[{pair.label}]")
 
 
 def phi_self(pair: BranchPair, spec: KernelSpec, background=None) -> float:
@@ -258,10 +182,12 @@ def phi_self(pair: BranchPair, spec: KernelSpec, background=None) -> float:
     retarded potential of the particle's full two-branch current,
 
         -(q^2/2) sum_P s_P sum_P' int dt dt'
-            (1 - v_P(t).v_P'(t')) G_ret(t - t', |X_P(t) - X_P'(t')|),
+            (1 - v_P(t).v_P'(t')) G_ret(t - t', |X_P(t) - X_P'(t')|).
 
-    and vanishes by antisymmetry for mirror-symmetric pairs.  The
-    background part is q int dt of the branch difference of
+    A BranchPair's branches are mirror images, so the RR and LL terms are
+    equal, as are RL and LR, and the sum is exactly zero: that part is
+    returned as -0.0, the sign of -(q^2/2) * (+0.0), with no quadrature.
+    The background part is q int dt of the branch difference of
     A^0 - v . A_vec along the two paths; for a pure-gauge background that
     integrand is a total time derivative and the phase is zero up to
     quadrature tolerance.
@@ -369,11 +295,6 @@ def commutator_functional(pair_A: BranchPair, pair_B: BranchPair, spec: KernelSp
     forward = _one_sided_commutator(pair_A, pair_B, spec)
     reverse = _one_sided_commutator(pair_B, pair_A, spec)
     return 0.5 * (forward - reverse)
-
-
-def retarded_field_difference(pair: BranchPair, x) -> np.ndarray:
-    """Bare retarded four-potential difference of a pair's branches at event x."""
-    return lienard_wiechert(x, pair.right) - lienard_wiechert(x, pair.left)
 
 
 # ---------------------------------------------------------------------------

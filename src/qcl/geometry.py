@@ -13,37 +13,23 @@ field kernels and phase/dephasing functionals live in sibling modules.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "OutOfDomainError",
     "StaticPath",
     "SplitPath",
     "Worldline",
     "BranchPair",
-    "Violation",
-    "Separation",
-    "interval_class",
-    "current_sample",
     "make_split_path",
     "make_branch_pair",
-    "validate_branch_pair",
     "causal_margin",
     "Scenario",
 ]
-
-#: Default absolute tolerance on the squared interval when classifying
-#: separations as lightlike.
-LIGHTCONE_EPS = 1e-9
-
-
-class OutOfDomainError(ValueError):
-    """Raised when a worldline is sampled outside its time window."""
-
 
 def _event_array(e) -> np.ndarray:
     """Accept any length-4 sequence (t, x, y, z) and return ndarray(4)."""
@@ -51,27 +37,6 @@ def _event_array(e) -> np.ndarray:
     if a.shape != (4,):
         raise ValueError(f"expected a length-4 event, got shape {a.shape}")
     return a
-
-
-class Separation(NamedTuple):
-    """Causal classification of an event pair with its squared interval."""
-
-    kind: str
-    s2: float
-
-
-def interval_class(a, b, eps: float = LIGHTCONE_EPS) -> Separation:
-    """Classify the separation of two events.
-
-    Returns ("timelike" | "spacelike" | "lightlike", s2) with the squared
-    interval s2 = dt^2 - |dx|^2 and an absolute tolerance band of ``eps``
-    around the light cone.
-    """
-    da = _event_array(a) - _event_array(b)
-    s2 = float(da[0] ** 2 - da[1:] @ da[1:])
-    if abs(s2) <= eps:
-        return Separation("lightlike", s2)
-    return Separation("timelike" if s2 > 0.0 else "spacelike", s2)
 
 
 def _smoothstep(u: np.ndarray) -> np.ndarray:
@@ -103,9 +68,6 @@ class StaticPath:
     def velocity(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         return np.zeros(ts.shape + (3,))
-
-    def knots(self) -> list[float]:
-        return []
 
 
 class SplitPath:
@@ -206,27 +168,6 @@ class Worldline:
         inside = (ts >= self.window[0]) & (ts <= self.window[1])
         return np.where(inside[..., None], v, 0.0)
 
-    def knots(self) -> list[float]:
-        lo, hi = self.window
-        ks = [k for k in self.path.knots() if lo < k < hi]
-        return sorted({lo, *ks, hi})
-
-
-def current_sample(worldline: Worldline, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Position and four-current amplitude q*(1, v) of a worldline at lab time t.
-
-    Raises OutOfDomainError when t falls outside the worldline's window;
-    the windowed current is only defined there, independent of how the
-    field solver extends the source.
-    """
-    t0, t1 = worldline.window
-    if not (t0 <= t <= t1):
-        raise OutOfDomainError(f"t={t} outside worldline window [{t0}, {t1}]")
-    pos = worldline.path.position(np.asarray(t, dtype=float))
-    vel = worldline.path.velocity(np.asarray(t, dtype=float))
-    four_current = worldline.charge * np.concatenate(([1.0], np.asarray(vel).reshape(3)))
-    return np.asarray(pos).reshape(3), four_current
-
 
 def make_split_path(
     L: float,
@@ -265,19 +206,36 @@ def make_split_path(
 
 @dataclass(frozen=True)
 class BranchPair:
-    """Two worldline branches of one particle in superposition.
+    """One particle in a symmetric superposition of two worldline branches.
 
-    The branches must share charge and window and coincide (in position
-    and velocity) outside ``split_window``, the interior interval where
-    the superposition is spatially open.  By convention the right branch
-    carries amplitude sign +1 and the left branch -1 in every branch
-    difference built from the pair.
+    Built from its right branch alone, a Worldline on a SplitPath.  The left
+    branch is the same worldline on a copy of that path with the amplitude
+    negated, so d_L(t) = -d_R(t) bitwise along one axis from one rest point,
+    and ``split_window`` is the path's excursion (t0, t0 + 2*ramp + hold),
+    outside which the branches coincide in position and velocity.  By
+    convention the right branch carries amplitude sign +1 and the left
+    branch -1 in every branch difference built from the pair.
     """
 
     label: str
     right: Worldline
-    left: Worldline
-    split_window: tuple[float, float]
+    left: Worldline = field(init=False)
+    split_window: tuple[float, float] = field(init=False)
+
+    def __post_init__(self):
+        path, (w0, w1) = self.right.path, self.right.window
+        if not isinstance(path, SplitPath):
+            raise TypeError(f"right branch must lie on a SplitPath, got {type(path).__name__}")
+        if not (w0 <= path.t0 and path.t_end <= w1):
+            raise ValueError("window must contain the whole excursion")
+        vmax = 15.0 * abs(path.amplitude) / (8.0 * path.ramp)
+        if not vmax < 1.0:
+            raise ValueError(f"peak speed 15*|amplitude|/(8*ramp) = {vmax:.6g} is not below 1")
+        # A copy, not a new SplitPath: normalising the axis again could move its last bit.
+        mirror = copy.copy(path)
+        mirror.amplitude = -path.amplitude
+        object.__setattr__(self, "left", replace(self.right, path=mirror))
+        object.__setattr__(self, "split_window", (path.t0, path.t_end))
 
     @property
     def charge(self) -> float:
@@ -291,35 +249,9 @@ class BranchPair:
         """Branch worldlines with their amplitude signs (+1 right, -1 left)."""
         return (self.right, +1.0), (self.left, -1.0)
 
-    def knots(self) -> list[float]:
-        return sorted(set(self.right.knots()) | set(self.left.knots()))
-
     def split_knots(self) -> list[float]:
-        a, b = self.split_window
-        inner = [k for k in self.knots() if a < k < b]
-        return [a, *inner, b]
-
-    def split_paths(self) -> tuple[SplitPath, SplitPath] | None:
-        """Both SplitPaths if they share base, axis, window and extend exactly, else None."""
-        pr, pl = self.right.path, self.left.path
-        shared = (isinstance(pr, SplitPath) and isinstance(pl, SplitPath)
-                  and np.array_equal(pr.base, pl.base) and np.array_equal(pr.axis, pl.axis)
-                  and (self.right.window, self.right.extend) == (self.left.window, self.left.extend))
-        return (pr, pl) if shared else None
-
-    def mirror_path(self) -> SplitPath | None:
-        """The right path if the left one is its exact mirror image, else None.
-
-        Exact comparisons, as make_branch_pair builds its pairs: split_paths
-        holds, t0, ramp and hold are equal, the amplitudes are negatives (so
-        d_L(t) = -d_R(t) bitwise) and the split window lies inside the window.
-        """
-        paths = self.split_paths()
-        if paths is None:
-            return None
-        (pr, pl), (w0, w1), (a, b) = paths, self.window, self.split_window
-        same = (pr.t0, pr.ramp, pr.hold, pr.amplitude) == (pl.t0, pl.ramp, pl.hold, -pl.amplitude)
-        return pr if same and w0 <= a and b <= w1 else None
+        """The excursion's ramp and hold boundaries, from t0 to t0 + 2*ramp + hold."""
+        return sorted(set(self.right.path.knots()))
 
 
 def make_branch_pair(
@@ -335,76 +267,8 @@ def make_branch_pair(
     window: tuple[float, float] | None = None,
 ) -> BranchPair:
     """Symmetric split: right branch at +L/2, left branch at -L/2 along axis."""
-    right = make_split_path(
-        L, t0, ramp, hold, charge=charge, base=base, axis=axis,
-        orientation=+1.0, window=window,
-    )
-    left = make_split_path(
-        L, t0, ramp, hold, charge=charge, base=base, axis=axis,
-        orientation=-1.0, window=window,
-    )
-    split = (t0, t0 + 2.0 * ramp + hold)
-    return BranchPair(label=label, right=right, left=left, split_window=split)
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One structural problem found while validating a branch pair."""
-
-    code: str
-    message: str
-
-
-def validate_branch_pair(pair: BranchPair, n_check: int = 512) -> list[Violation]:
-    """Check the structural contract of a branch pair.
-
-    Returns a list of violations (empty when the pair is well formed):
-    charge mismatch, window mismatch, a split window not contained in the
-    time window, branch positions or velocities that differ outside the
-    split window, and any sampled speed at or above 1.
-    """
-    out: list[Violation] = []
-    if pair.right.charge != pair.left.charge:
-        out.append(Violation(
-            "ChargeMismatch",
-            f"right charge {pair.right.charge} != left charge {pair.left.charge}",
-        ))
-    if pair.right.window != pair.left.window:
-        out.append(Violation(
-            "WindowMismatch",
-            f"right window {pair.right.window} != left window {pair.left.window}",
-        ))
-    w0, w1 = pair.right.window
-    a, b = pair.split_window
-    if not (w0 <= a < b <= w1):
-        out.append(Violation(
-            "SplitWindowOutsideWindow",
-            f"split window [{a}, {b}] not inside time window [{w0}, {w1}]",
-        ))
-        return out
-
-    ts = np.linspace(w0, w1, n_check)
-    for w in (pair.right, pair.left):
-        speed = np.linalg.norm(w.velocity(ts), axis=-1).max()
-        if speed >= 1.0:
-            out.append(Violation(
-                "SuperluminalSegment",
-                f"sampled speed {speed:.6g} >= 1 on branch of {pair.label}",
-            ))
-            break
-
-    outside = (ts <= a) | (ts >= b)
-    t_out = ts[outside]
-    if t_out.size:
-        dp = np.linalg.norm(pair.right.position(t_out) - pair.left.position(t_out), axis=-1)
-        dv = np.linalg.norm(pair.right.velocity(t_out) - pair.left.velocity(t_out), axis=-1)
-        worst = max(dp.max(), dv.max())
-        if worst > 1e-12:
-            out.append(Violation(
-                "CoincidenceViolation",
-                f"branches differ by {worst:.3g} outside the split window",
-            ))
-    return out
+    right = make_split_path(L, t0, ramp, hold, charge=charge, base=base, axis=axis, window=window)
+    return BranchPair(label, right)
 
 
 def causal_margin(probe: BranchPair, source: BranchPair, n: int = 192) -> float:

@@ -42,7 +42,6 @@ __all__ = [
     "KernelSpec",
     "SingularityError",
     "hadamard_scalar",
-    "hadamard_coincidence",
     "retarded_kernel",
     "smeared_coulomb",
     "retarded_time",
@@ -119,11 +118,6 @@ def hadamard_dt_r(dt, r, spec: KernelSpec):
         u = dt[small] / (2.0 * s)
         out[small] = (1.0 - 2.0 * u * dawsn(u)) / (2.0 * _TWO_PI_SQ * s * s)
     return out if out.ndim else float(out)
-
-
-def hadamard_coincidence(spec: KernelSpec) -> float:
-    """Kernel value at zero separation, 1 / (4 pi^2 sigma^2)."""
-    return 1.0 / (2.0 * _TWO_PI_SQ * spec.sigma ** 2)
 
 
 def retarded_kernel(dt, r, spec: KernelSpec):

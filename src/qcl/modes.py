@@ -39,7 +39,6 @@ from scipy.integrate import solve_ivp
 
 from .geometry import BranchPair
 from .kernels import KernelSpec
-from .functionals import _split_profiles
 from .quadrature import panel_gauss_nodes
 
 __all__ = [
@@ -315,7 +314,6 @@ def pair_mode_set(
     particle's branch is precisely the quadrature approximation of the
     continuum dephasing integral.
     """
-    (disp_r, rate_r), (disp_l, rate_l) = _split_profiles(pair)
     sigma = spec.sigma
     k_up = min(spec.k_max, 4.5 / sigma)
     if n_k % 8 == 0:
@@ -334,11 +332,11 @@ def pair_mode_set(
                 / (8.0 * math.pi ** 2))
     q = pair.charge
 
-    def make_g(disp, rate):
+    def make_g(path):
         def g(ts: np.ndarray) -> np.ndarray:
             ts = np.asarray(ts, dtype=float)
-            a = disp(ts)
-            da = rate(ts)
+            a = path.displacement(ts)
+            da = path.displacement_rate(ts)
             phase = np.exp(1j * (kk[:, None] * ts[None, :] - (kk * mm)[:, None] * a[None, :]))
             return (c * q)[:, None] * da[None, :] * phase
 
@@ -348,6 +346,6 @@ def pair_mode_set(
     return ModeSet(
         omegas=kk,
         window=(a0, b0),
-        couplings={"AR": make_g(disp_r, rate_r), "AL": make_g(disp_l, rate_l)},
+        couplings={"AR": make_g(pair.right.path), "AL": make_g(pair.left.path)},
         n_max=n_max,
     )

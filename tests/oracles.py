@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the code paths it checks: kernels
 are integrated in their momentum representation with scipy's generic
-quadrature, gradients come from central differences, and background
+quadrature, gradients come from central differences, background
 phase terms from direct 1D quadrature of the potential along the
-branches.
+branches, and Gamma's integrand from all four branch combinations on
+3-vector positions and velocities, with no use of the mirror symmetry.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+
+from qcl.kernels import hadamard_dt_r
 
 
 def hadamard_momentum(dt: float, r: float, sigma: float) -> float:
@@ -41,6 +44,27 @@ def retarded_momentum(dt: float, r: float, sigma: float) -> float:
         0.0, k_up, limit=2000, epsabs=1e-13, epsrel=1e-12,
     )
     return val / (2.0 * math.pi ** 2 * r)
+
+
+def gamma_four_term_integrand(pair, spec):
+    """Gamma's (t, u) integrand before q^2/4, summed over all four branch pairs.
+
+    sum_{P,P'} s_P s_P' (v_P(t).v_P'(u) - 1) K(t - u, |X_P(t) - X_P'(u)|),
+    with separations taken from the branch offsets.
+    """
+
+    def integrand(ts: np.ndarray, us: np.ndarray) -> np.ndarray:
+        total = np.zeros_like(ts)
+        for wp, sp in pair.branches():
+            xp, vp = wp.offset(ts), wp.velocity(ts)
+            for wq, sq in pair.branches():
+                xq, vq = wq.offset(us), wq.velocity(us)
+                r = np.linalg.norm(xp - xq, axis=-1)
+                vv = np.sum(vp * vq, axis=-1)
+                total += sp * sq * (vv - 1.0) * hadamard_dt_r(ts - us, r, spec)
+        return total
+
+    return integrand
 
 
 def central_gradient(f, x: float, y: float, h: float = 1e-6):

@@ -1,4 +1,4 @@
-"""Worldline geometry: interval algebra, split paths, pair validation."""
+"""Worldline geometry: split paths, the mirror branch pair, causal margins."""
 
 import math
 
@@ -9,55 +9,15 @@ from hypothesis import strategies as st
 
 from qcl.geometry import (
     BranchPair,
-    OutOfDomainError,
     SplitPath,
     StaticPath,
     Worldline,
     causal_margin,
-    current_sample,
-    interval_class,
     make_branch_pair,
     make_split_path,
-    validate_branch_pair,
 )
 
 from conftest import mutual_scenario, one_way_scenario, spacelike_scenario
-
-
-class TestIntervalClass:
-    def test_spacelike(self):
-        kind, s2 = interval_class((0, 0, 0, 0), (1, 2, 0, 0))
-        assert kind == "spacelike"
-        assert s2 == -3.0
-
-    def test_timelike(self):
-        kind, s2 = interval_class((0, 0, 0, 0), (2, 1, 0, 0))
-        assert kind == "timelike"
-        assert s2 == 3.0
-
-    def test_lightlike(self):
-        kind, s2 = interval_class((0, 0, 0, 0), (1, 1, 0, 0))
-        assert kind == "lightlike"
-        assert s2 == 0.0
-
-    def test_tolerance_band(self):
-        kind, _ = interval_class((0, 0, 0, 0), (1, 1 + 1e-12, 0, 0))
-        assert kind == "lightlike"
-
-    coords = st.floats(-50, 50, allow_nan=False)
-
-    @given(a=st.tuples(coords, coords, coords, coords),
-           b=st.tuples(coords, coords, coords, coords),
-           shift=st.tuples(coords, coords, coords, coords))
-    @settings(max_examples=200, deadline=None)
-    def test_symmetric_and_translation_invariant(self, a, b, shift):
-        res = interval_class(a, b)
-        assert interval_class(b, a) == res
-        a2 = tuple(x + s for x, s in zip(a, shift))
-        b2 = tuple(x + s for x, s in zip(b, shift))
-        kind2, s2_2 = interval_class(a2, b2)
-        assert kind2 == res.kind or abs(res.s2) < 1e-6
-        assert s2_2 == pytest.approx(res.s2, abs=1e-6, rel=1e-9)
 
 
 class TestSplitPath:
@@ -119,82 +79,52 @@ class TestSplitPath:
         assert np.all(w.velocity(np.array([5.0])) == 0.0)
 
 
-class TestCurrentSample:
-    def test_amplitude_and_position(self):
-        w = make_split_path(0.6, 0.5, 0.8, 1.0, charge=1.7)
-        x, j = current_sample(w, 1.0)
-        assert j[0] == 1.7
-        v = w.velocity(np.array([1.0]))[0]
-        assert np.array_equal(j[1:], 1.7 * v)
-        assert np.array_equal(x, w.position(np.array([1.0]))[0])
+class TestBranchPair:
+    @pytest.mark.parametrize("base, axis", [
+        ((0.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
+        ((1.0, -2.0, 0.5), (0.3, 1.0, -0.4)),
+        ((-0.7, 0.2, 3.3), (1.0, 1.0, 1.0)),
+    ])
+    def test_left_is_the_mirrored_split_path(self, base, axis):
+        args = (0.7, 0.6, 0.9, 1.1)
+        kw = {"charge": 1.3, "base": base, "axis": axis, "window": (0.2, 4.3)}
+        pair = make_branch_pair("A", *args, **kw)
+        want = make_split_path(*args, orientation=-1.0, **kw)
+        ts = np.linspace(-1.0, 5.5, 1301)  # past both ends of the window
+        for f in ("position", "offset", "velocity"):
+            assert np.array_equal(getattr(pair.left, f)(ts), getattr(want, f)(ts)), f
+        assert (pair.left.charge, pair.left.window) == (want.charge, want.window)
 
-    def test_outside_window_raises(self):
-        w = make_split_path(0.6, 0.5, 0.8, 1.0)
-        with pytest.raises(OutOfDomainError):
-            current_sample(w, w.window[1] + 0.5)
+    def test_split_window_is_the_excursion(self):
+        t0, ramp, hold = 0.6, 0.9, 1.1
+        pair = make_branch_pair("A", 0.7, t0, ramp, hold)
+        assert pair.split_window == (t0, t0 + 2 * ramp + hold)
 
-    def test_branch_difference_zero_outside_split_window(self):
+    def test_branches_coincide_outside_split_window(self):
         pair = make_branch_pair("A", 0.7, 0.6, 0.9, 1.1, charge=1.3)
         a, b = pair.split_window
-        w0, w1 = pair.right.window
-        # Strictly outside the split window the branches agree bitwise.
-        for t in np.concatenate([np.linspace(w0, a, 40)[:-1], np.linspace(b, w1, 40)[1:]]):
-            xr, jr = current_sample(pair.right, float(t))
-            xl, jl = current_sample(pair.left, float(t))
-            assert np.array_equal(xr, xl)
-            assert np.array_equal(jr, jl)
-        # At the closure endpoints float noise in the ramp polynomial is
-        # allowed up to the validator's coincidence threshold.
+        w0, w1 = pair.window
+        ts = np.concatenate([np.linspace(w0 - 1.0, a, 40)[:-1], np.linspace(b, w1 + 1.0, 40)[1:]])
+        assert np.array_equal(pair.right.position(ts), pair.left.position(ts))
+        assert np.array_equal(pair.right.velocity(ts), pair.left.velocity(ts))
+        # At the closure endpoints float noise in the ramp polynomial is allowed.
         for t in (a, b):
-            xr, _ = current_sample(pair.right, t)
-            xl, _ = current_sample(pair.left, t)
-            assert np.linalg.norm(xr - xl) < 1e-12
+            assert np.linalg.norm(pair.right.position(t) - pair.left.position(t)) < 1e-12
 
-
-class TestValidateBranchPair:
-    def test_valid_pair_is_clean(self):
-        pair = make_branch_pair("A", 0.7, 0.5, 0.8, 1.0, charge=1.2)
-        assert validate_branch_pair(pair) == []
-
-    def test_static_degenerate_pair_is_clean(self):
-        pair = make_branch_pair("A", 0.0, 0.5, 0.8, 1.0)
-        assert validate_branch_pair(pair) == []
-
-    def test_charge_mismatch(self):
-        a = make_split_path(0.7, 0.5, 0.8, 1.0, charge=1.0, orientation=+1)
-        b = make_split_path(0.7, 0.5, 0.8, 1.0, charge=2.0, orientation=-1)
-        pair = BranchPair("A", a, b, (0.5, 0.5 + 2 * 0.8 + 1.0))
-        codes = [v.code for v in validate_branch_pair(pair)]
-        assert "ChargeMismatch" in codes
-
-    def test_superluminal_segment(self):
-        # Bypass the constructor guard to exercise the validator's own check.
+    def test_superluminal_path_rejected(self):
         fast = SplitPath((0, 0, 0), (0, 1, 0), 0.6, 0.5, 0.3, 0.5)
-        slow = SplitPath((0, 0, 0), (0, 1, 0), -0.6, 0.5, 0.3, 0.5)
-        window = (0.0, 2.5)
-        pair = BranchPair(
-            "A",
-            Worldline(1.0, window, fast),
-            Worldline(1.0, window, slow),
-            (0.5, 1.6),
-        )
-        codes = [v.code for v in validate_branch_pair(pair)]
-        assert "SuperluminalSegment" in codes
+        with pytest.raises(ValueError, match="not below 1"):
+            BranchPair("A", Worldline(1.0, (0.0, 2.5), fast))
 
-    def test_coincidence_violation(self):
-        # Branches that never recombine: left split starts later.
-        r = make_split_path(0.5, 0.4, 0.6, 0.8, orientation=+1, window=(0.0, 4.0))
-        l = make_split_path(0.5, 0.9, 0.6, 0.8, orientation=-1, window=(0.0, 4.0))
-        pair = BranchPair("A", r, l, (0.4, 0.4 + 2 * 0.6 + 0.8))
-        codes = [v.code for v in validate_branch_pair(pair)]
-        assert "CoincidenceViolation" in codes
+    def test_excursion_outside_window_rejected(self):
+        path = SplitPath((0, 0, 0), (0, 1, 0), 0.25, 0.4, 0.6, 0.8)
+        for window in ((0.0, 2.0), (0.5, 4.0)):
+            with pytest.raises(ValueError, match="whole excursion"):
+                BranchPair("A", Worldline(1.0, window, path))
 
-    def test_split_window_outside_window(self):
-        r = make_split_path(0.5, 0.4, 0.6, 0.8, window=(0.0, 4.0))
-        l = make_split_path(0.5, 0.4, 0.6, 0.8, orientation=-1, window=(0.0, 4.0))
-        pair = BranchPair("A", r, l, (0.4, 5.5))
-        codes = [v.code for v in validate_branch_pair(pair)]
-        assert codes == ["SplitWindowOutsideWindow"]
+    def test_static_path_rejected(self):
+        with pytest.raises(TypeError, match="SplitPath"):
+            BranchPair("A", Worldline(1.0, (0.0, 2.0), StaticPath((0.0, 0.0, 0.0))))
 
 
 class TestCausalStructure:

@@ -16,7 +16,6 @@ from qcl.kernels import (
     KernelSpec,
     SingularityError,
     coulomb_background,
-    hadamard_coincidence,
     hadamard_dt_r,
     hadamard_scalar,
     lienard_wiechert,
@@ -63,8 +62,7 @@ class TestHadamardKernel:
         assert got == pytest.approx(want, rel=1e-11)
 
     def test_coincidence_value_is_exact(self, spec):
-        assert hadamard_coincidence(spec) == 1.0 / (4.0 * math.pi**2 * SIGMA**2)
-        assert hadamard_dt_r(0.0, 0.0, spec) == hadamard_coincidence(spec)
+        assert hadamard_dt_r(0.0, 0.0, spec) == 1.0 / (4.0 * math.pi**2 * SIGMA**2)
 
     def test_equal_time_distant_ratio_frozen(self, spec):
         # Equal-time value at r = 1000 sigma over the coincidence value.
@@ -115,7 +113,7 @@ class TestHadamardKernel:
         assert np.array_equal(hadamard_scalar(dx, spec), hadamard_dt_r(dt, r, spec))
 
     def test_coincidence_monotone_in_regulator(self):
-        vals = [hadamard_coincidence(KernelSpec(sigma=s))
+        vals = [hadamard_dt_r(0.0, 0.0, KernelSpec(sigma=s))
                 for s in (0.02, 0.05, 0.07, 0.2, 1.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
