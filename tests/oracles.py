@@ -15,7 +15,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from qcl.kernels import hadamard_dt_r
+from qcl.kernels import hadamard_dt_r, retarded_kernel
 
 
 def hadamard_momentum(dt: float, r: float, sigma: float) -> float:
@@ -65,6 +65,29 @@ def gamma_four_term_integrand(pair, spec):
         return total
 
     return integrand
+
+
+def own_field_terms(pair, spec):
+    """The own-field self-phase integrand of each branch combination, by name.
+
+    For P, P' in {R, L} the (t, lag) term is
+    (1 - v_P(t).v_P'(u)) G_ret(lag, |X_P(t) - X_P'(u)|) with u = t - lag;
+    phi_self's own-field part is -(q^2/2) int of (RR - LL) + (RL - LR).
+    """
+
+    def terms(ts: np.ndarray, lags: np.ndarray) -> dict[str, np.ndarray]:
+        us = ts - lags
+        out = {}
+        for p, wp in (("R", pair.right), ("L", pair.left)):
+            xp, vp = wp.offset(ts), wp.velocity(ts)
+            for q, wq in (("R", pair.right), ("L", pair.left)):
+                xq, vq = wq.offset(us), wq.velocity(us)
+                r = np.linalg.norm(xp - xq, axis=-1)
+                vv = np.sum(vp * vq, axis=-1)
+                out[p + q] = (1.0 - vv) * retarded_kernel(lags, r, spec)
+        return out
+
+    return terms
 
 
 def central_gradient(f, x: float, y: float, h: float = 1e-6):

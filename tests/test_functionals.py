@@ -128,6 +128,29 @@ class TestPhiSelf:
         assert math.copysign(1.0, phi_self(pair, spec)) == -1.0
 
     @pytest.mark.parametrize("base, axis", [
+        ((0.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
+        ((3.1, 0.3, -0.2), (0.3, 1.0, -0.4)),
+        ((-1.7, 2.2, 0.9), (-0.6, 0.8, 0.3)),
+    ])
+    def test_own_field_terms_cancel_bitwise(self, spec, base, axis):
+        # Why phi_self returns -0.0 without quadrature: the offsets and
+        # velocities of the two branches are exact negatives, so RR equals
+        # LL and RL equals LR at every (t, lag), not just in the integral.
+        pair = make_branch_pair("A", 0.7, 0.4, 0.8, 1.0, charge=1.1, base=base, axis=axis)
+        a, b = pair.split_window
+        rng = np.random.default_rng(41)
+        t_nodes, _ = panel_gauss_nodes(a, b, 12, 8)
+        w_nodes, _ = panel_gauss_nodes(0.0, 1.5, 12, 8)
+        ts, lags = (x.ravel() for x in np.meshgrid(t_nodes, w_nodes))
+        ts = np.concatenate([ts, rng.uniform(a, b, 4000)])
+        lags = np.concatenate([lags, rng.uniform(0.0, 1.5, 4000)])
+        terms = oracles.own_field_terms(pair, spec)(ts, lags)
+        assert np.array_equal(terms["RR"], terms["LL"])
+        assert np.array_equal(terms["RL"], terms["LR"])
+        assert np.abs(terms["RL"] - terms["RR"]).max() > 0.0
+        assert np.all((terms["RR"] - terms["LL"]) + (terms["RL"] - terms["LR"]) == 0.0)
+
+    @pytest.mark.parametrize("base, axis", [
         ((0.0, 0.3, 0.0), (0.0, 1.0, 0.0)),
         ((3.1, 0.3, -0.2), (0.0, 1.0, 0.0)),
         ((3.1, 0.3, -0.2), (0.3, 1.0, -0.4)),

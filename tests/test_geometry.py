@@ -126,6 +126,54 @@ class TestBranchPair:
         with pytest.raises(TypeError, match="SplitPath"):
             BranchPair("A", Worldline(1.0, (0.0, 2.0), StaticPath((0.0, 0.0, 0.0))))
 
+    def test_left_keeps_the_right_axis_bits(self):
+        # Normalising (0.3, 1, -0.4) a second time moves its last bits, so
+        # a left branch built as a new SplitPath would not be an exact mirror.
+        pair = make_branch_pair("A", 0.7, 0.6, 0.9, 1.1, axis=(0.3, 1.0, -0.4))
+        r, l = pair.right.path, pair.left.path
+        renormalised = SplitPath(r.base, r.axis, -r.amplitude, r.t0, r.ramp, r.hold)
+        assert not np.array_equal(renormalised.axis, r.axis)
+        assert l is not r
+        assert np.array_equal(l.axis, r.axis) and np.array_equal(l.base, r.base)
+        assert (l.t0, l.ramp, l.hold) == (r.t0, r.ramp, r.hold)
+        assert l.amplitude == -r.amplitude == -0.35
+
+    def test_left_and_split_window_are_not_arguments(self):
+        pair = make_branch_pair("A", 0.7, 0.6, 0.9, 1.1)
+        with pytest.raises(TypeError):
+            BranchPair("A", pair.right, pair.left)
+        with pytest.raises(TypeError):
+            BranchPair("A", pair.right, split_window=pair.split_window)
+
+    def test_rebuilt_from_right_is_the_same_pair(self):
+        pair = make_branch_pair("A", 0.7, 0.6, 0.9, 1.1, charge=-1.3, axis=(-0.6, 0.8, 0.3))
+        again = BranchPair(pair.label, pair.right)
+        ts = np.linspace(0.0, 4.0, 401)
+        for f in ("position", "offset", "velocity"):
+            assert np.array_equal(getattr(again.left, f)(ts), getattr(pair.left, f)(ts)), f
+        assert again.split_window == pair.split_window
+        assert again.left.charge == pair.right.charge == -1.3
+
+    @pytest.mark.parametrize("amplitude", [0.8, -0.8])
+    def test_light_speed_peak_rejected(self, amplitude):
+        # 15 * 0.8 / (8 * 1.5) is exactly 1: the bound is strict.
+        path = SplitPath((0, 0, 0), (0, 1, 0), amplitude, 0.5, 1.5, 0.5)
+        with pytest.raises(ValueError, match="not below 1"):
+            BranchPair("A", Worldline(1.0, (0.0, 5.0), path))
+
+    def test_excursion_filling_the_window_accepted(self):
+        path = SplitPath((0, 0, 0), (0, 1, 0), 0.25, 0.4, 0.6, 0.8)
+        pair = BranchPair("A", Worldline(1.0, (0.4, path.t_end), path))
+        assert pair.split_window == pair.window == (0.4, 0.4 + 2 * 0.6 + 0.8)
+
+    def test_static_degenerate_pair_is_clean(self):
+        # A zero split is still a pair: its branches coincide at all times.
+        pair = make_branch_pair("A", 0.0, 0.5, 0.8, 1.0)
+        ts = np.linspace(-1.0, 4.0, 501)
+        assert np.array_equal(pair.right.position(ts), pair.left.position(ts))
+        assert np.array_equal(pair.right.velocity(ts), pair.left.velocity(ts))
+        assert pair.split_window == (0.5, 0.5 + 2 * 0.8 + 1.0)
+
 
 class TestCausalStructure:
     def test_margin_positive_for_distant_pairs(self, rng):
