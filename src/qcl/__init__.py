@@ -16,7 +16,6 @@ from .geometry import (
     Worldline,
     causal_margin,
     make_branch_pair,
-    make_split_path,
 )
 from .kernels import (
     KernelSpec,
@@ -73,7 +72,6 @@ __all__ = [
     "Worldline",
     "causal_margin",
     "make_branch_pair",
-    "make_split_path",
     "KernelSpec",
     "SingularityError",
     "coulomb_background",

@@ -21,11 +21,9 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "StaticPath",
     "SplitPath",
     "Worldline",
     "BranchPair",
-    "make_split_path",
     "make_branch_pair",
     "causal_margin",
     "Scenario",
@@ -46,28 +44,9 @@ def _smoothstep(u: np.ndarray) -> np.ndarray:
 
 
 def _smoothstep_rate(u: np.ndarray) -> np.ndarray:
-    """Derivative 30 u^2 (1-u)^2 of the quintic smoothstep (zero outside [0,1])."""
-    inside = (u > 0.0) & (u < 1.0)
-    uc = np.clip(u, 0.0, 1.0)
-    return np.where(inside, 30.0 * uc * uc * (1.0 - uc) * (1.0 - uc), 0.0)
-
-
-class StaticPath:
-    """A path that never moves."""
-
-    def __init__(self, point: Sequence[float]):
-        self.point = np.asarray(point, dtype=float).reshape(3)
-
-    def position(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        return np.broadcast_to(self.point, ts.shape + (3,)).copy()
-
-    def offset(self, ts: np.ndarray) -> np.ndarray:
-        return np.zeros(np.shape(ts) + (3,))
-
-    def velocity(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        return np.zeros(ts.shape + (3,))
+    """Derivative 30 u^2 (1-u)^2 of the quintic smoothstep, exactly +0.0 outside (0, 1)."""
+    u = np.clip(u, 0.0, 1.0)
+    return 30.0 * u * u * (1.0 - u) * (1.0 - u)
 
 
 class SplitPath:
@@ -133,75 +112,41 @@ class SplitPath:
 
 @dataclass(frozen=True)
 class Worldline:
-    """A charged point particle on a finite lab-time window.
+    """A charged point particle on a SplitPath inside a finite lab-time window.
 
-    ``extend`` controls what the particle does outside ``window``:
-    "static" means it sits at the frozen endpoint position forever (the
-    usual choice, so retarded fields have sources at all times), "none"
-    means the current simply does not exist there.
+    This is the one place that states what a branch is.  The path must be a
+    SplitPath, the window must contain its whole excursion, and the peak
+    speed 15 * |amplitude| / (8 * ramp) must be below 1.  Outside the
+    excursion a SplitPath rests at its base, so the particle rests there
+    before and after the window too: retarded fields have a source at all
+    times, and the methods below hand any lab time straight to the path.
     """
 
     charge: float
     window: tuple[float, float]
-    path: object
-    extend: str = "static"
+    path: SplitPath
 
     def __post_init__(self):
-        t0, t1 = self.window
-        if not t1 > t0:
-            raise ValueError("window must satisfy t_start < t_end")
-        if self.extend not in ("static", "none"):
-            raise ValueError("extend must be 'static' or 'none'")
+        path, (w0, w1) = self.path, self.window
+        if not isinstance(path, SplitPath):
+            raise TypeError(f"a worldline must lie on a SplitPath, got {type(path).__name__}")
+        if not (w0 <= path.t0 and path.t_end <= w1):
+            raise ValueError("window must contain the whole excursion")
+        vmax = 15.0 * abs(path.amplitude) / (8.0 * path.ramp)
+        if not vmax < 1.0:
+            raise ValueError(f"peak speed 15*|amplitude|/(8*ramp) = {vmax:.6g} is not below 1")
 
     def position(self, ts) -> np.ndarray:
-        """Spatial position, applying the static extension outside the window."""
-        return self.path.position(np.clip(np.asarray(ts, dtype=float), *self.window))
+        """Spatial position at lab times ts."""
+        return self.path.position(ts)
 
     def offset(self, ts) -> np.ndarray:
         """Displacement from the path's rest point, formed without subtracting it."""
-        return self.path.offset(np.clip(np.asarray(ts, dtype=float), *self.window))
+        return self.path.offset(ts)
 
     def velocity(self, ts) -> np.ndarray:
-        """Velocity; identically zero outside the window (frozen endpoints)."""
-        ts = np.asarray(ts, dtype=float)
-        v = self.path.velocity(np.clip(ts, *self.window))
-        inside = (ts >= self.window[0]) & (ts <= self.window[1])
-        return np.where(inside[..., None], v, 0.0)
-
-
-def make_split_path(
-    L: float,
-    t0: float,
-    ramp: float,
-    hold: float,
-    *,
-    charge: float = 1.0,
-    base: Sequence[float] = (0.0, 0.0, 0.0),
-    axis: Sequence[float] = (0.0, 1.0, 0.0),
-    orientation: float = 1.0,
-    window: tuple[float, float] | None = None,
-) -> Worldline:
-    """One branch of a two-path split: displaced by orientation * L/2 during the hold.
-
-    The particle rests at ``base`` before t0, moves out along ``axis`` to a
-    displacement of ``orientation * L/2`` over ``ramp``, holds for ``hold``,
-    and returns by ``t0 + 2*ramp + hold``.  Rejects parameter sets whose
-    peak speed 15 L / (16 ramp) would reach the speed of light.
-    """
-    if L < 0.0:
-        raise ValueError("L must be non-negative")
-    vmax = 15.0 * L / (16.0 * ramp)
-    if vmax >= 1.0:
-        raise ValueError(
-            f"peak speed 15*L/(16*ramp) = {vmax:.6g} is not below 1; "
-            "increase ramp or reduce L"
-        )
-    path = SplitPath(base, axis, orientation * L / 2.0, t0, ramp, hold)
-    if window is None:
-        window = (t0 - ramp, path.t_end + ramp)
-    if not (window[0] <= t0 and path.t_end <= window[1]):
-        raise ValueError("window must contain the whole excursion")
-    return Worldline(charge=charge, window=window, path=path)
+        """Velocity at lab times ts; zero outside the excursion."""
+        return self.path.velocity(ts)
 
 
 @dataclass(frozen=True)
@@ -223,14 +168,7 @@ class BranchPair:
     split_window: tuple[float, float] = field(init=False)
 
     def __post_init__(self):
-        path, (w0, w1) = self.right.path, self.right.window
-        if not isinstance(path, SplitPath):
-            raise TypeError(f"right branch must lie on a SplitPath, got {type(path).__name__}")
-        if not (w0 <= path.t0 and path.t_end <= w1):
-            raise ValueError("window must contain the whole excursion")
-        vmax = 15.0 * abs(path.amplitude) / (8.0 * path.ramp)
-        if not vmax < 1.0:
-            raise ValueError(f"peak speed 15*|amplitude|/(8*ramp) = {vmax:.6g} is not below 1")
+        path = self.right.path
         # A copy, not a new SplitPath: normalising the axis again could move its last bit.
         mirror = copy.copy(path)
         mirror.amplitude = -path.amplitude
@@ -266,15 +204,24 @@ def make_branch_pair(
     axis: Sequence[float] = (0.0, 1.0, 0.0),
     window: tuple[float, float] | None = None,
 ) -> BranchPair:
-    """Symmetric split: right branch at +L/2, left branch at -L/2 along axis."""
-    right = make_split_path(L, t0, ramp, hold, charge=charge, base=base, axis=axis, window=window)
-    return BranchPair(label, right)
+    """Symmetric split: right branch at +L/2, left branch at -L/2 along axis.
+
+    The particle rests at ``base`` before t0, moves out along ``axis`` over
+    ``ramp``, holds for ``hold`` and returns by t0 + 2*ramp + hold.  The
+    default window pads the excursion by one ramp on each side.
+    """
+    if L < 0.0:
+        raise ValueError("L must be non-negative")
+    path = SplitPath(base, axis, L / 2.0, t0, ramp, hold)
+    if window is None:
+        window = (t0 - ramp, path.t_end + ramp)
+    return BranchPair(label, Worldline(charge, window, path))
 
 
-def causal_margin(probe: BranchPair, source: BranchPair, n: int = 192) -> float:
+def causal_margin(probe: BranchPair, source: BranchPair) -> float:
     """Lower bound on |x_probe - x_source| - (t_probe - t_source) over split windows.
 
-    Scans all four branch combinations on an n x n grid of (probe time,
+    Scans all four branch combinations on a 192 x 192 grid of (probe time,
     source time) pairs drawn from the two split windows and subtracts a
     Lipschitz safety term (the scanned function changes by at most 2 per
     unit time in either argument, since speeds stay below 1).  A positive
@@ -285,6 +232,7 @@ def causal_margin(probe: BranchPair, source: BranchPair, n: int = 192) -> float:
     """
     pa, pb = probe.split_window
     sa, sb = source.split_window
+    n = 192
     tp = np.linspace(pa, pb, n)
     tsrc = np.linspace(sa, sb, n)
     hp = (pb - pa) / (n - 1)

@@ -178,7 +178,8 @@ def _light_cone_times(events: np.ndarray, w: Worldline, *, advanced: bool) -> np
     X(tau0) equals X_rest bitwise: by this rest-point certificate a pair's
     branches get equal times wherever the crossing is outside the split window.
     Other events run Newton on f' = 1 -+ R_hat.v, in (0, 2) for speeds below 1,
-    bracketed by the frozen endpoint.  Raises ArithmeticError on no convergence.
+    bracketed by the light-cone time of the rest point at the window edge.
+    Raises ArithmeticError on no convergence.
     """
     events = np.asarray(events, dtype=float)
     t, x = events[:, 0], events[:, 1:]
@@ -212,25 +213,20 @@ def _light_cone_times(events: np.ndarray, w: Worldline, *, advanced: bool) -> np
     raise ArithmeticError(f"light-cone solve did not converge for {todo.size} events")
 
 
-def retarded_time(
-    x, w: Worldline, *, advanced: bool = False, residual_tol: float = 1e-10
-) -> float | None:
+def retarded_time(x, w: Worldline, *, advanced: bool = False) -> float:
     """Emission time on w whose forward light cone passes through event x.
 
     With ``advanced=True``, the absorption time whose backward light cone
     does: t -+ |x - X_rest| where the source rests (the rest-point certificate
-    of :func:`_light_cone_times`), bracketed Newton elsewhere.  None when
-    extend="none" and the crossing leaves the window (no source there);
-    raises ArithmeticError if ||t - tau| - |x - X(tau)|| > residual_tol.
+    of :func:`_light_cone_times`), bracketed Newton elsewhere.  Raises
+    ArithmeticError if ||t - tau| - |x - X(tau)|| exceeds 1e-10.
     """
     e = _event_array(x)
     tau = float(_light_cone_times(e[None, :], w, advanced=advanced)[0])
-    if w.extend == "none" and not (w.window[0] <= tau <= w.window[1]):
-        return None
     r = float(np.linalg.norm(e[1:] - w.position(np.asarray(tau))))
     lag = tau - e[0] if advanced else e[0] - tau
     residual = abs(lag - r)
-    if residual > residual_tol:
+    if residual > 1e-10:
         raise ArithmeticError(f"light-cone solve residual {residual:.3e} too large")
     return tau
 
@@ -257,19 +253,15 @@ def _lw_batch(events: np.ndarray, w: Worldline, *, advanced: bool = False) -> np
     out = np.empty(events.shape[:-1] + (4,))
     out[:, 0] = pref
     out[:, 1:] = pref[:, None] * vel
-    if w.extend == "none":
-        inside = (taus >= w.window[0]) & (taus <= w.window[1])
-        out *= inside[:, None]
     return out
 
 
 def lienard_wiechert(x, w: Worldline, *, advanced: bool = False) -> np.ndarray:
     """Four-potential of a single worldline at event x (contravariant components).
 
-    For a static charge this reduces to A = (q / 4 pi r, 0, 0, 0).  With
-    extend="none" the potential is zero when the light-cone crossing
-    leaves the window; with the default static extension the frozen
-    endpoint keeps sourcing a Coulomb field.
+    For a static charge this reduces to A = (q / 4 pi r, 0, 0, 0).  Before
+    and after its excursion the source rests at its base and keeps sourcing
+    a Coulomb field.
     """
     e = _event_array(x)
     return _lw_batch(e[None, :], w, advanced=advanced)[0]

@@ -1,6 +1,6 @@
-"""Worldline geometry: split paths, the mirror branch pair, causal margins."""
+"""Worldline geometry: split paths, the branch checks, the mirror pair, causal margins."""
 
-import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from qcl.geometry import (
     BranchPair,
     SplitPath,
-    StaticPath,
     Worldline,
     causal_margin,
     make_branch_pair,
-    make_split_path,
 )
 
 from conftest import mutual_scenario, one_way_scenario, spacelike_scenario
@@ -22,7 +20,7 @@ from conftest import mutual_scenario, one_way_scenario, spacelike_scenario
 
 class TestSplitPath:
     def test_rest_before_and_after(self):
-        w = make_split_path(0.8, 1.0, 0.9, 1.2, base=(0.5, -0.25, 2.0))
+        w = make_branch_pair("A", 0.8, 1.0, 0.9, 1.2, base=(0.5, -0.25, 2.0)).right
         for t in (-3.0, 0.0, 0.999, 4.1, 7.0):
             assert np.array_equal(w.position(np.array([t]))[0], [0.5, -0.25, 2.0])
             assert np.all(w.velocity(np.array([t])) == 0.0)
@@ -31,7 +29,7 @@ class TestSplitPath:
         # Dyadic parameters so hold-window times map to ramp fractions >= 1
         # without rounding and the plateau equality is bitwise.
         L, t0, ramp, hold = 0.5, 1.0, 0.5, 1.25
-        w = make_split_path(L, t0, ramp, hold, axis=(0, 1, 0))
+        w = make_branch_pair("A", L, t0, ramp, hold, axis=(0, 1, 0)).right
         t_mid = t0 + ramp + hold / 2.0
         assert w.position(np.array([t_mid]))[0, 1] == L / 2.0
         ts = np.linspace(t0 + ramp, t0 + ramp + hold, 64)
@@ -39,25 +37,25 @@ class TestSplitPath:
         assert np.all(w.velocity(ts) == 0.0)
 
     def test_orientation_mirrors_bitwise(self):
-        right = make_split_path(0.7, 0.4, 0.8, 1.0, orientation=+1.0)
-        left = make_split_path(0.7, 0.4, 0.8, 1.0, orientation=-1.0)
+        pair = make_branch_pair("A", 0.7, 0.4, 0.8, 1.0)
+        right, left = pair.right, pair.left
         ts = np.linspace(0.0, 3.5, 777)
         assert np.array_equal(right.position(ts)[:, 1], -left.position(ts)[:, 1])
         assert np.array_equal(right.velocity(ts)[:, 1], -left.velocity(ts)[:, 1])
 
     def test_peak_speed_matches_closed_form(self):
         L, ramp = 0.9, 1.1
-        w = make_split_path(L, 0.5, ramp, 0.7)
+        w = make_branch_pair("A", L, 0.5, ramp, 0.7).right
         ts = np.linspace(*w.window, 200001)
         measured = np.linalg.norm(w.velocity(ts), axis=-1).max()
         assert measured == pytest.approx(15.0 * L / (16.0 * ramp), abs=1e-8)
 
     def test_superluminal_parameters_rejected(self):
         with pytest.raises(ValueError, match="not below 1"):
-            make_split_path(1.1, 0.5, 0.6, 0.5)
+            make_branch_pair("A", 1.1, 0.5, 0.6, 0.5)
 
     def test_zero_width_split_is_static(self):
-        w = make_split_path(0.0, 0.5, 0.8, 1.0, base=(1.0, 2.0, 3.0))
+        w = make_branch_pair("A", 0.0, 0.5, 0.8, 1.0, base=(1.0, 2.0, 3.0)).right
         ts = np.linspace(*w.window, 257)
         assert np.all(w.position(ts) == np.array([1.0, 2.0, 3.0]))
         assert np.all(w.velocity(ts) == 0.0)
@@ -67,16 +65,43 @@ class TestSplitPath:
     @settings(max_examples=60, deadline=None)
     def test_speed_cap_on_dense_grid(self, L, ramp_factor, hold, t0):
         ramp = 15.0 * L / 16.0 * ramp_factor
-        w = make_split_path(L, t0, ramp, hold)
+        w = make_branch_pair("A", L, t0, ramp, hold).right
         ts = np.linspace(*w.window, 10000)
         assert np.linalg.norm(w.velocity(ts), axis=-1).max() < 1.0
 
-    def test_static_extension_freezes_endpoint(self):
+
+class TestWorldline:
+    """Every branch check lives in Worldline itself."""
+
+    def test_superluminal_path_rejected(self):
+        fast = SplitPath((0, 0, 0), (0, 1, 0), 0.6, 0.5, 0.3, 0.5)
+        with pytest.raises(ValueError, match="not below 1"):
+            Worldline(1.0, (0.0, 2.5), fast)
+
+    @pytest.mark.parametrize("amplitude", [0.8, -0.8])
+    def test_light_speed_peak_rejected(self, amplitude):
+        # 15 * 0.8 / (8 * 1.5) is exactly 1: the bound is strict.
+        path = SplitPath((0, 0, 0), (0, 1, 0), amplitude, 0.5, 1.5, 0.5)
+        with pytest.raises(ValueError, match="not below 1"):
+            Worldline(1.0, (0.0, 5.0), path)
+
+    def test_excursion_outside_window_rejected(self):
+        path = SplitPath((0, 0, 0), (0, 1, 0), 0.25, 0.4, 0.6, 0.8)
+        for window in ((0.0, 2.0), (0.5, 4.0)):
+            with pytest.raises(ValueError, match="whole excursion"):
+                Worldline(1.0, window, path)
+
+    def test_window_shorter_than_excursion_rejected(self):
+        # The excursion [0.2, 1.5] starts with the window but outlasts it.
         path = SplitPath((0, 0, 0), (0, 1, 0), 0.4, 0.2, 0.5, 0.3)
-        w = Worldline(charge=1.0, window=(0.2, 0.9), path=path)
-        inside_end = w.position(np.array([0.9]))
-        assert np.array_equal(w.position(np.array([5.0])), inside_end)
-        assert np.all(w.velocity(np.array([5.0])) == 0.0)
+        with pytest.raises(ValueError, match="whole excursion"):
+            Worldline(charge=1.0, window=(0.2, 0.9), path=path)
+
+    def test_non_split_path_rejected(self):
+        # A look-alike with every SplitPath attribute is still not a branch.
+        path = SimpleNamespace(**vars(SplitPath((0, 0, 0), (0, 1, 0), 0.25, 0.4, 0.6, 0.8)))
+        with pytest.raises(TypeError, match="SplitPath"):
+            Worldline(1.0, (0.0, 3.0), path)
 
 
 class TestBranchPair:
@@ -86,10 +111,10 @@ class TestBranchPair:
         ((-0.7, 0.2, 3.3), (1.0, 1.0, 1.0)),
     ])
     def test_left_is_the_mirrored_split_path(self, base, axis):
-        args = (0.7, 0.6, 0.9, 1.1)
-        kw = {"charge": 1.3, "base": base, "axis": axis, "window": (0.2, 4.3)}
-        pair = make_branch_pair("A", *args, **kw)
-        want = make_split_path(*args, orientation=-1.0, **kw)
+        pair = make_branch_pair("A", 0.7, 0.6, 0.9, 1.1, charge=1.3, base=base, axis=axis,
+                                window=(0.2, 4.3))
+        # Built independently from the same raw axis, normalised once.
+        want = Worldline(1.3, (0.2, 4.3), SplitPath(base, axis, -0.7 / 2.0, 0.6, 0.9, 1.1))
         ts = np.linspace(-1.0, 5.5, 1301)  # past both ends of the window
         for f in ("position", "offset", "velocity"):
             assert np.array_equal(getattr(pair.left, f)(ts), getattr(want, f)(ts)), f
@@ -110,21 +135,6 @@ class TestBranchPair:
         # At the closure endpoints float noise in the ramp polynomial is allowed.
         for t in (a, b):
             assert np.linalg.norm(pair.right.position(t) - pair.left.position(t)) < 1e-12
-
-    def test_superluminal_path_rejected(self):
-        fast = SplitPath((0, 0, 0), (0, 1, 0), 0.6, 0.5, 0.3, 0.5)
-        with pytest.raises(ValueError, match="not below 1"):
-            BranchPair("A", Worldline(1.0, (0.0, 2.5), fast))
-
-    def test_excursion_outside_window_rejected(self):
-        path = SplitPath((0, 0, 0), (0, 1, 0), 0.25, 0.4, 0.6, 0.8)
-        for window in ((0.0, 2.0), (0.5, 4.0)):
-            with pytest.raises(ValueError, match="whole excursion"):
-                BranchPair("A", Worldline(1.0, window, path))
-
-    def test_static_path_rejected(self):
-        with pytest.raises(TypeError, match="SplitPath"):
-            BranchPair("A", Worldline(1.0, (0.0, 2.0), StaticPath((0.0, 0.0, 0.0))))
 
     def test_left_keeps_the_right_axis_bits(self):
         # Normalising (0.3, 1, -0.4) a second time moves its last bits, so
@@ -153,13 +163,6 @@ class TestBranchPair:
             assert np.array_equal(getattr(again.left, f)(ts), getattr(pair.left, f)(ts)), f
         assert again.split_window == pair.split_window
         assert again.left.charge == pair.right.charge == -1.3
-
-    @pytest.mark.parametrize("amplitude", [0.8, -0.8])
-    def test_light_speed_peak_rejected(self, amplitude):
-        # 15 * 0.8 / (8 * 1.5) is exactly 1: the bound is strict.
-        path = SplitPath((0, 0, 0), (0, 1, 0), amplitude, 0.5, 1.5, 0.5)
-        with pytest.raises(ValueError, match="not below 1"):
-            BranchPair("A", Worldline(1.0, (0.0, 5.0), path))
 
     def test_excursion_filling_the_window_accepted(self):
         path = SplitPath((0, 0, 0), (0, 1, 0), 0.25, 0.4, 0.6, 0.8)

@@ -1,6 +1,5 @@
 """Field kernels: closed forms vs momentum-space quadrature, causal support."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +10,7 @@ from scipy.integrate import quad
 
 import qcl.kernels
 from qcl.functionals import build_report
-from qcl.geometry import StaticPath, Worldline, make_branch_pair, make_split_path
+from qcl.geometry import Worldline, make_branch_pair
 from qcl.kernels import (
     KernelSpec,
     SingularityError,
@@ -198,23 +197,15 @@ class TestSmearedCoulomb:
 
 class TestLightConeCrossings:
     def test_static_source_crossing_times(self):
-        w = make_split_path(0.0, 0.5, 0.5, 1.0, base=(1.0, 2.0, 2.0))
+        w = make_branch_pair("A", 0.0, 0.5, 0.5, 1.0, base=(1.0, 2.0, 2.0)).right
         x = (5.0, 4.0, 6.0, 2.0)
         r = math.sqrt(3.0**2 + 4.0**2)
         assert retarded_time(x, w) == pytest.approx(5.0 - r, abs=1e-9)
         assert retarded_time(x, w, advanced=True) == pytest.approx(5.0 + r, abs=1e-9)
 
-    def test_windowless_crossing_returns_none(self):
-        w0 = make_split_path(0.3, 0.5, 0.5, 0.5, window=(0.0, 2.0))
-        w = dataclasses.replace(w0, extend="none")
-        # The backward cone of an event far in the future crosses the
-        # worldline after its window has closed.
-        assert retarded_time((50.0, 40.0, 0.0, 0.0), w) is None
-        assert retarded_time((-50.0, 40.0, 0.0, 0.0), w, advanced=True) is None
-
     def test_static_lw_potential_is_coulomb(self):
         q = 1.7
-        w = make_split_path(0.0, 0.5, 0.5, 1.0, base=(0.0, 0.0, 0.0), charge=q)
+        w = make_branch_pair("A", 0.0, 0.5, 0.5, 1.0, charge=q).right
         a = lienard_wiechert((3.0, 2.0, 0.0, 0.0), w)
         assert a[0] == pytest.approx(q / (4.0 * math.pi * 2.0), rel=1e-12)
         assert np.all(a[1:] == 0.0)
@@ -222,7 +213,7 @@ class TestLightConeCrossings:
 
     def test_lw_during_hold_sees_displaced_charge(self):
         q = 1.1
-        w = make_split_path(0.4, 0.0, 0.5, 3.0, charge=q, window=(-0.5, 4.5))
+        w = make_branch_pair("A", 0.4, 0.0, 0.5, 3.0, charge=q, window=(-0.5, 4.5)).right
         # Crossing time 1.0 lies inside the hold era, where the branch
         # rests at base + (L/2) yhat.
         a = lienard_wiechert((3.0, 2.0, 0.2, 0.0), w)
@@ -230,28 +221,9 @@ class TestLightConeCrossings:
         assert np.all(a[1:] == 0.0)
 
     def test_event_on_source_raises(self):
-        w = make_split_path(0.0, 0.5, 0.5, 1.0, base=(1.0, 0.0, 0.0))
+        w = make_branch_pair("A", 0.0, 0.5, 0.5, 1.0, base=(1.0, 0.0, 0.0)).right
         with pytest.raises(SingularityError):
             lienard_wiechert((2.0, 1.0, 0.0, 0.0), w)
-
-    def test_no_source_outside_causal_future(self):
-        # With extend="none" the potential vanishes identically at any
-        # event whose backward light cone misses the time window.
-        rng = np.random.default_rng(20240817)
-        zeros = np.zeros(4)
-        for _ in range(1000):
-            L = rng.uniform(0.0, 0.8)
-            ramp = rng.uniform(1.0, 1.5) * max(L, 0.2)
-            base = rng.uniform(-2.0, 2.0, size=3)
-            w0 = make_split_path(L, 0.0, ramp, rng.uniform(0.2, 1.0), base=base)
-            w = dataclasses.replace(w0, extend="none")
-            t = rng.uniform(w.window[0], w.window[0] + 4.0)
-            direction = rng.normal(size=3)
-            direction /= np.linalg.norm(direction)
-            dist = (t - w.window[0]) + L / 2.0 + rng.uniform(0.1, 4.0)
-            x = base + dist * direction
-            out = lienard_wiechert((t, *x), w)
-            assert np.array_equal(out, zeros)
 
 
 class TestLightConeSolver:
@@ -312,7 +284,8 @@ class TestLightConeSolver:
     def test_static_path_is_closed_form(self):
         rng = np.random.default_rng(44)
         p = np.array([0.3, -1.7, 2.2])
-        w = Worldline(1.0, (0.0, 2.0), StaticPath(p))
+        # A static source is a zero-width split.
+        w = make_branch_pair("A", 0.0, 0.5, 0.5, 0.5, base=p, window=(0.0, 2.0)).right
         ev = self.events(rng, 500)
         d = np.linalg.norm(ev[:, 1:] - p, axis=-1)
         assert np.array_equal(qcl.kernels._light_cone_times(ev, w, advanced=False), ev[:, 0] - d)
