@@ -12,6 +12,7 @@ failed, 3 a quadrature did not converge.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -72,7 +73,7 @@ def _walk_schema(data, schema, path: str, out: dict) -> None:
     for key, sub in schema.items():
         full = f"{path}.{key}" if path else key
         if key not in data:
-            if full in _OPTIONAL or (path and f"{path}" in _OPTIONAL):
+            if full in _OPTIONAL:
                 continue
             raise ConfigError(f"{full}: missing required key")
         val = data[key]
@@ -88,7 +89,6 @@ def _walk_schema(data, schema, path: str, out: dict) -> None:
             if isinstance(val, bool) or not isinstance(val, int):
                 raise ConfigError(f"{full}: expected an integer, got {val!r}")
             out[full] = int(val)
-    return
 
 
 def _validate_background(raw) -> dict | None:
@@ -250,12 +250,11 @@ def _write(path: Path, text: str) -> None:
 
 
 def _evaluate(flat: dict):
-    scenario = scenario_from_config(flat)
-    report = build_report(scenario)
+    report = build_report(scenario_from_config(flat))
     V = visibility(rho_A(report))
     D_B = distinguishability(report)
     audit = audit_report(report, V, D_B)
-    return scenario, report, V, D_B, audit
+    return report, V, D_B, audit
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +276,7 @@ def run(config: Path, out_dir: Path) -> None:
     raw = _load_json(config)
     try:
         flat = parse_config(raw)
-        scenario, report, V, D_B, audit = _evaluate(flat)
+        report, V, D_B, audit = _evaluate(flat)
     except ConfigError as exc:
         click.echo(f"input error: {exc}", err=True)
         raise SystemExit(1)
@@ -339,13 +338,8 @@ def _load_json(path: Path) -> dict:
     return raw
 
 
-_SWEEPABLE_TIMES = {"times.T_A": "A", "times.T_B": "B"}
-
-
 def _apply_vary(raw: dict, key: str, value: float) -> dict:
     """Set a dotted numeric key in a (copied) raw config."""
-    import copy
-
     cfg = copy.deepcopy(raw)
     parts = key.split(".")
     node = cfg
@@ -388,7 +382,7 @@ def sweep(config: Path, vary: str, out_dir: Path) -> None:
     for value in grid:
         try:
             flat = parse_config(_apply_vary(raw, key, float(value)))
-            scenario, report, V, D_B, audit = _evaluate(flat)
+            report, V, D_B, audit = _evaluate(flat)
         except ConfigError as exc:
             click.echo(f"input error at {key}={value:.17g}: {exc}", err=True)
             raise SystemExit(1)

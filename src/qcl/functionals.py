@@ -28,7 +28,7 @@ contributes nothing, not merely something exponentially small.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -327,21 +327,7 @@ class DecoherenceReport:
     spacelike: bool
 
     def to_dict(self) -> dict:
-        return {
-            "gamma_A": self.gamma_A,
-            "gamma_B": self.gamma_B,
-            "phi_A": self.phi_A,
-            "phi_B": self.phi_B,
-            "phi_A_BR": self.phi_A_BR,
-            "phi_A_BL": self.phi_A_BL,
-            "phi_B_AR": self.phi_B_AR,
-            "phi_B_AL": self.phi_B_AL,
-            "phi_AB": self.phi_AB,
-            "phi_BA": self.phi_BA,
-            "sigma": self.sigma,
-            "quad_error": self.quad_error,
-            "spacelike": self.spacelike,
-        }
+        return asdict(self)
 
 
 def build_report(scenario: Scenario) -> DecoherenceReport:

@@ -309,19 +309,17 @@ def pair_mode_set(
         c    = sqrt( (1 - mu^2) k e^{-k^2 sigma^2} W_k W_mu / (8 pi^2) ),
 
     where a_P is the branch displacement along the split axis and W are
-    the Gauss-Legendre weights of the grid.  With these weights the
+    the Gauss-Legendre weights of the grid: n_k / 8 panels of 8 nodes in k,
+    so n_k must be a positive multiple of 8.  With these weights the
     closed-form dephasing exponent between labels differing in this
     particle's branch is precisely the quadrature approximation of the
     continuum dephasing integral.
     """
+    if n_k < 8 or n_k % 8:
+        raise ValueError(f"n_k must be a positive multiple of 8, got {n_k}")
     sigma = spec.sigma
     k_up = min(spec.k_max, 4.5 / sigma)
-    if n_k % 8 == 0:
-        kn, kw = panel_gauss_nodes(0.0, k_up, n_k // 8, 8)
-    else:
-        x, w = np.polynomial.legendre.leggauss(n_k)
-        kn = 0.5 * k_up * (x + 1.0)
-        kw = 0.5 * k_up * w
+    kn, kw = panel_gauss_nodes(0.0, k_up, n_k // 8, 8)
     mun, muw = np.polynomial.legendre.leggauss(n_mu)
 
     kk = np.repeat(kn, n_mu)

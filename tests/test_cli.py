@@ -9,6 +9,7 @@ so the whole module stays fast.
 import csv
 import importlib.metadata
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+import qcl
 from qcl.cli import (
     REPORT_COLUMNS,
     ConfigError,
@@ -435,9 +437,13 @@ class TestAuditCommand:
 
 class TestEntryPoints:
     def test_module_invocation(self):
+        # The child imports the same qcl as this test, whether or not it is installed.
+        src = os.path.dirname(os.path.dirname(qcl.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "qcl.cli", "--help"],
             capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
         for command in ("run", "sweep", "audit"):

@@ -182,6 +182,12 @@ class TestPairProjection:
         assert set(modes.couplings) == {"AR", "AL"}
         assert modes.window == pair.split_window
 
+    def test_k_count_must_be_a_multiple_of_8(self):
+        pair = make_branch_pair("A", 0.5, 0.4, 0.8, 1.0)
+        for n_k in (0, 12):
+            with pytest.raises(ValueError, match="multiple of 8"):
+                pair_mode_set(pair, KernelSpec(sigma=0.07), n_k=n_k, n_mu=4)
+
     def test_discrete_exponent_approaches_quadrature_route(self):
         # Modest resolution already lands within a few 1e-5 relative of
         # the continuum quadrature value (measured 3.9e-5 at this grid);
