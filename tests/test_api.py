@@ -38,8 +38,9 @@ TRACED = {
 def test_traced_names_resolve():
     missing = []
     for module, names in TRACED.items():
+        mod = importlib.import_module(module)
         for name in names:
-            obj = importlib.import_module(module)
+            obj = mod
             for part in name.split("."):
                 obj = getattr(obj, part, None)
             if not callable(obj):
