@@ -21,7 +21,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .functionals import build_report
+from .functionals import build_report, reusing_gamma
 from .geometry import Scenario, make_branch_pair
 from .inequalities import audit_report, f_grid, implication_audit
 from .kernels import KernelSpec, coulomb_background
@@ -139,9 +139,11 @@ def parse_config(raw: dict) -> dict:
                 f"of particle {p} give {duration}"
             )
         flat[f"times.T_{p}"] = duration
-        if s["t0"] < 0.0 or s["t0"] + duration > flat["times.T"]:
+        # Summed in the order of SplitPath.t_end, which the Worldline check uses.
+        end = (s["t0"] + 2.0 * s["ramp"]) + s["hold"]
+        if s["t0"] < 0.0 or end > flat["times.T"]:
             raise ConfigError(
-                f"particles.{p}.split: excursion [{s['t0']}, {s['t0'] + duration}] "
+                f"particles.{p}.split: excursion [{s['t0']}, {end}] "
                 f"does not fit in the window [0, {flat['times.T']}]"
             )
     return flat
@@ -249,8 +251,8 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", newline="\n")
 
 
-def _evaluate(flat: dict):
-    report = build_report(scenario_from_config(flat))
+def _evaluate(scenario: Scenario):
+    report = build_report(scenario)
     V = visibility(rho_A(report))
     D_B = distinguishability(report)
     audit = audit_report(report, V, D_B)
@@ -276,7 +278,7 @@ def run(config: Path, out_dir: Path) -> None:
     raw = _load_json(config)
     try:
         flat = parse_config(raw)
-        report, V, D_B, audit = _evaluate(flat)
+        report, V, D_B, audit = _evaluate(scenario_from_config(flat))
     except ConfigError as exc:
         click.echo(f"input error: {exc}", err=True)
         raise SystemExit(1)
@@ -377,21 +379,29 @@ def sweep(config: Path, vary: str, out_dir: Path) -> None:
         click.echo(f"input error: {exc}", err=True)
         raise SystemExit(1)
 
-    rows = [["vary", "value", *REPORT_COLUMNS, "status"]]
-    any_numeric_failure = False
+    # Every point is parsed and built before any is evaluated, so a bad
+    # point fails the sweep without the cost of the points before it.
+    points = []
     for value in grid:
         try:
             flat = parse_config(_apply_vary(raw, key, float(value)))
-            report, V, D_B, audit = _evaluate(flat)
+            points.append((float(value), flat, scenario_from_config(flat)))
         except ConfigError as exc:
             click.echo(f"input error at {key}={value:.17g}: {exc}", err=True)
             raise SystemExit(1)
-        except NumericFailure:
-            any_numeric_failure = True
-            rows.append([key, float(value), *[""] * len(REPORT_COLUMNS), "quadrature_failure"])
-            continue
-        row = _report_row(flat, report, V, D_B, audit)
-        rows.append([key, float(value), *[row[c] for c in REPORT_COLUMNS], "ok"])
+
+    rows = [["vary", "value", *REPORT_COLUMNS, "status"]]
+    any_numeric_failure = False
+    with reusing_gamma():
+        for value, flat, scenario in points:
+            try:
+                report, V, D_B, audit = _evaluate(scenario)
+            except NumericFailure:
+                any_numeric_failure = True
+                rows.append([key, value, *[""] * len(REPORT_COLUMNS), "quadrature_failure"])
+                continue
+            row = _report_row(flat, report, V, D_B, audit)
+            rows.append([key, value, *[row[c] for c in REPORT_COLUMNS], "ok"])
 
     out_dir.mkdir(parents=True, exist_ok=True)
     _write(out_dir / "sweep.csv", _csv(rows))

@@ -15,6 +15,12 @@ All four-dimensional integrals reduce to one- or two-dimensional
 lab-time integrals over the split windows, because branch differences
 vanish identically outside them.
 
+Gamma depends only on a pair's split and charge and on the kernel, not on
+where the pair rests, along which axis it splits or in which window.
+Inside a ``with reusing_gamma():`` block (``qcl sweep`` wraps its grid in
+one) each distinct Gamma is computed once and reused, a NumericFailure
+included; outside such a block every call computes afresh.
+
 Two deliberately different regularizations appear.  Gamma, quadratic in
 a single particle's current, probes the light-cone coincidence limit and
 uses the sigma-smeared Hadamard kernel.  Pairing
@@ -27,8 +33,10 @@ contributes nothing, not merely something exponentially small.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -45,6 +53,7 @@ __all__ = [
     "branch_pairing",
     "commutator_functional",
     "build_report",
+    "reusing_gamma",
 ]
 
 
@@ -66,7 +75,49 @@ def _gamma_integrand(pair: BranchPair, spec: KernelSpec):
     return integrand
 
 
+# Gamma results of the innermost active reusing_gamma() block, or None.
+_GAMMA_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "qcl_gamma_memo", default=None,
+)
+
+
+@contextlib.contextmanager
+def reusing_gamma():
+    """Compute each distinct Gamma once inside the block, and forget them at its end.
+
+    Results are keyed by the pair's label and charge, its right path's
+    amplitude, t0, ramp and hold, and the KernelSpec, every float by its
+    exact bits.  The key leaves out the rest point, the axis and the
+    window: Gamma's integrand sees only the displacement and its rate
+    over the split window, so it is bitwise the same under all three.  A
+    Gamma that raised NumericFailure raises it again for the same key.
+    """
+    token = _GAMMA_MEMO.set({})
+    try:
+        yield
+    finally:
+        _GAMMA_MEMO.reset(token)
+
+
 def _gamma_with_error(pair: BranchPair, spec: KernelSpec) -> tuple[float, float]:
+    memo = _GAMMA_MEMO.get()
+    if memo is None:
+        return _compute_gamma(pair, spec)
+    p = pair.right.path
+    floats = (pair.charge, p.amplitude, p.t0, p.ramp, p.hold, *astuple(spec))
+    key = (pair.label, *(float(x).hex() for x in floats))
+    if key not in memo:
+        try:
+            memo[key] = _compute_gamma(pair, spec)
+        except NumericFailure as exc:
+            memo[key] = exc
+    found = memo[key]
+    if isinstance(found, NumericFailure):
+        raise found.with_traceback(None)
+    return found
+
+
+def _compute_gamma(pair: BranchPair, spec: KernelSpec) -> tuple[float, float]:
     a, b = pair.split_window
     knots = pair.split_knots()
     val, err = adaptive_2d(

@@ -18,11 +18,15 @@ split width.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import qcl.functionals
 from qcl.geometry import Scenario, make_branch_pair
 from qcl.kernels import KernelSpec
+from qcl.quadrature import NumericFailure
 
 
 def draw_split(rng, lo_L=0.45, hi_L=0.85, ramp_lo=1.3, ramp_hi=1.9,
@@ -93,6 +97,21 @@ def mixed_scenarios(seed: int, n_spacelike: int, n_one_way: int, n_mutual: int):
     out += [one_way_scenario(rng) for _ in range(n_one_way)]
     out += [mutual_scenario(rng) for _ in range(n_mutual)]
     return out
+
+
+def count_adaptive_2d(monkeypatch, fail=()) -> Counter:
+    """Count qcl.functionals.adaptive_2d calls by integrand name; names in ``fail`` raise."""
+    calls = Counter()
+    real = qcl.functionals.adaptive_2d
+
+    def counted(f, *args, name, **kwargs):
+        calls[name] += 1
+        if name in fail:
+            raise NumericFailure(name, 0.0, 1.0, 1e-9)
+        return real(f, *args, name=name, **kwargs)
+
+    monkeypatch.setattr(qcl.functionals, "adaptive_2d", counted)
+    return calls
 
 
 @pytest.fixture

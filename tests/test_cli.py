@@ -25,9 +25,13 @@ from qcl.cli import (
     _parse_vary,
     main,
     parse_config,
+    scenario_from_config,
 )
+from qcl.functionals import build_report, gamma
 from qcl.inequalities import AuditResult
 from qcl.quadrature import NumericFailure
+
+from conftest import count_adaptive_2d
 
 
 def _qcl_distribution_installed():
@@ -104,6 +108,22 @@ class TestParseConfig:
         cfg["particles"]["B"]["split"]["t0"] = 0.5
         with pytest.raises(ConfigError, match="does not fit"):
             parse_config(cfg)
+
+    def test_excursion_end_is_summed_like_split_path(self):
+        # t0 + (2 ramp + hold) is 4.1, but SplitPath.t_end's order,
+        # (t0 + 2 ramp) + hold, is 4.1000000000000005: past the window.
+        cfg = base_config()
+        cfg["particles"]["A"]["split"] = {"L": 0.2, "t0": 0.98, "ramp": 0.9, "hold": 1.32}
+        cfg["times"]["T"] = 4.1
+        with pytest.raises(ConfigError, match=r"particles\.A\.split: excursion"):
+            parse_config(cfg)
+
+    def test_split_filling_the_window_in_both_sum_orders_is_accepted(self):
+        # (0.1 + 0.5) + 0.2 is 0.8 and 0.1 + (0.5 + 0.2) is 0.7999999999999999.
+        cfg = base_config()
+        cfg["times"]["T"] = 0.8
+        scenario = scenario_from_config(parse_config(cfg))
+        assert scenario.pair_A.split_window[1] == 0.8
 
     def test_bool_is_not_a_number(self):
         cfg = base_config()
@@ -231,6 +251,16 @@ class TestRunCommand:
         assert row["V"] == "1"
         assert row["D_B"] == "0"
         assert row["gamma_A"] == "0" and row["gamma_B"] == "0"
+
+    def test_excursion_past_window_by_rounding_exits_1(self, runner, tmp_path):
+        cfg_dict = base_config()
+        cfg_dict["particles"]["A"]["split"] = {"L": 0.2, "t0": 0.98, "ramp": 0.9, "hold": 1.32}
+        cfg_dict["times"]["T"] = 4.1
+        cfg = write_config(tmp_path, cfg_dict)
+        result = runner.invoke(main, ["run", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert result.exit_code == 1
+        assert "particles.A.split" in result.stderr
+        assert not (tmp_path / "o").exists()
 
     def test_invalid_json_exits_1_and_writes_nothing(self, runner, tmp_path):
         cfg = tmp_path / "broken.json"
@@ -392,6 +422,79 @@ class TestSweepCommand:
         assert [r["status"] for r in rows] == ["quadrature_failure", "ok"]
         assert rows[0]["V"] == ""
         assert rows[1]["V"] != ""
+
+
+    def test_bad_point_fails_before_any_point_is_evaluated(self, runner, tmp_path, monkeypatch):
+        evaluated = []
+        monkeypatch.setattr("qcl.cli.build_report", evaluated.append)
+        cfg = write_config(tmp_path, base_config())
+        # hold 0.2 fits the window [0, 1]; hold 0.5 ends the excursion at 1.1.
+        result = runner.invoke(main, ["sweep", str(cfg),
+                                      "--vary", "particles.A.split.hold=0.2:0.8:3",
+                                      "--out-dir", str(tmp_path / "s")])
+        assert result.exit_code == 1
+        assert "input error at particles.A.split.hold=0.5: particles.A.split" in result.stderr
+        assert evaluated == []
+        assert not (tmp_path / "s" / "sweep.csv").exists()
+
+    def test_rows_match_per_point_runs_with_a_background(self, runner, tmp_path):
+        cfg_dict = base_config()
+        cfg_dict["times"]["T"] = 1.2
+        cfg_dict["background"] = {"coulomb": {"charge": 0.9, "position": [0.3, 0.5, 0.0]}}
+        cfg = write_config(tmp_path, cfg_dict)
+        result = runner.invoke(main, ["sweep", str(cfg), "--vary", "geometry.D=0.4:10:4",
+                                      "--out-dir", str(tmp_path / "s")])
+        assert result.exit_code == 0, result.output
+        rows = read_csv(tmp_path / "s" / "sweep.csv")
+        assert {row["spacelike"] for row in rows} == {"true", "false"}
+        for i, row in enumerate(rows):
+            cfg_dict["geometry"]["D"] = float(row["value"])
+            point = write_config(tmp_path, cfg_dict, name=f"point{i}.json")
+            out = tmp_path / f"r{i}"
+            r = runner.invoke(main, ["run", str(point), "--out-dir", str(out)])
+            assert r.exit_code == 0, r.output
+            run_row = read_csv(out / "report.csv")[0]
+            assert {c: row[c] for c in REPORT_COLUMNS} == run_row
+
+
+class TestSweepReusesGamma:
+    @pytest.mark.parametrize("vary, expected", [
+        ("geometry.D=0.4:10:10", {"gamma[A]": 1, "gamma[B]": 1}),
+        ("particles.A.split.L=0.1:0.25:3", {"gamma[A]": 3, "gamma[B]": 1}),
+        ("kernel.sigma=0.05:0.11:3", {"gamma[A]": 3, "gamma[B]": 3}),
+    ])
+    def test_one_gamma_per_distinct_particle(self, runner, tmp_path, monkeypatch,
+                                              vary, expected):
+        calls = count_adaptive_2d(monkeypatch)
+        cfg = write_config(tmp_path, base_config())
+        result = runner.invoke(main, ["sweep", str(cfg), "--vary", vary,
+                                      "--out-dir", str(tmp_path / "s")])
+        assert result.exit_code == 0, result.output
+        assert calls == expected
+
+    def test_reuse_ends_with_the_sweep(self, runner, tmp_path, monkeypatch):
+        calls = count_adaptive_2d(monkeypatch)
+        cfg = write_config(tmp_path, base_config())
+        result = runner.invoke(main, ["sweep", str(cfg), "--vary", "geometry.D=4:10:2",
+                                      "--out-dir", str(tmp_path / "s")])
+        assert result.exit_code == 0, result.output
+        assert sum(calls.values()) == 2
+        scenario = scenario_from_config(parse_config(base_config()))
+        gamma(scenario.pair_A, scenario.kernel)
+        assert calls["gamma[A]"] == 2
+        build_report(scenario)
+        build_report(scenario)
+        assert calls == {"gamma[A]": 4, "gamma[B]": 3}
+
+    def test_failed_gamma_fails_every_point_that_shares_it(self, runner, tmp_path, monkeypatch):
+        calls = count_adaptive_2d(monkeypatch, fail={"gamma[B]"})
+        cfg = write_config(tmp_path, base_config())
+        result = runner.invoke(main, ["sweep", str(cfg), "--vary", "geometry.D=4:10:3",
+                                      "--out-dir", str(tmp_path / "s")])
+        assert result.exit_code == 3
+        rows = read_csv(tmp_path / "s" / "sweep.csv")
+        assert [r["status"] for r in rows] == ["quadrature_failure"] * 3
+        assert calls == {"gamma[A]": 1, "gamma[B]": 1}
 
 
 class TestAuditCommand:

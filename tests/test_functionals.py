@@ -16,14 +16,15 @@ from qcl.functionals import (
     gamma_momentum,
     phi_pairing,
     phi_self,
+    reusing_gamma,
 )
 from qcl.geometry import Scenario, causal_margin, make_branch_pair
 from qcl.kernels import KernelSpec, coulomb_background, lienard_wiechert, pure_gauge_background
-from qcl.quadrature import panel_gauss_nodes
+from qcl.quadrature import NumericFailure, panel_gauss_nodes
 from qcl.quantum import rho_A
 
 import oracles
-from conftest import mutual_scenario, one_way_scenario, spacelike_scenario
+from conftest import count_adaptive_2d, mutual_scenario, one_way_scenario, spacelike_scenario
 
 
 class TestGamma:
@@ -107,16 +108,64 @@ class TestGammaMirrorPath:
         assert counts["integrand"] == 106_880
         assert counts["hadamard"] == 2 * counts["integrand"]
 
-    @pytest.mark.parametrize("base, axis", [
-        ((0.0, 0.0, 0.0), (0.3, 1.0, -0.4)),
-        ((3.1, 0.3, -0.2), (0.0, 1.0, 0.0)),
-        ((-1.7, 2.2, 0.9), (1.0, 1.0, 1.0)),
-        ((0.4, -0.5, 6.0), (-0.6, 0.8, 0.3)),
+    @pytest.mark.parametrize("base, axis, window", [
+        ((0.0, 0.0, 0.0), (0.3, 1.0, -0.4), None),
+        ((3.1, 0.3, -0.2), (0.0, 1.0, 0.0), None),
+        ((-1.7, 2.2, 0.9), (1.0, 1.0, 1.0), None),
+        ((0.4, -0.5, 6.0), (-0.6, 0.8, 0.3), None),
+        ((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.3, 3.0)),
+        ((-1.7, 2.2, 0.9), (-0.6, 0.8, 0.3), (-4.0, 11.5)),
     ])
-    def test_bitwise_invariant_under_axis_and_rest_point(self, spec, base, axis):
+    def test_bitwise_invariant_under_axis_and_rest_point(self, spec, base, axis, window):
+        # Also under the window: reusing_gamma's key leaves out all three.
         standard = make_branch_pair("A", 0.6, 0.3, 0.9, 0.8, charge=1.2)
-        moved = make_branch_pair("A", 0.6, 0.3, 0.9, 0.8, charge=1.2, base=base, axis=axis)
+        moved = make_branch_pair("A", 0.6, 0.3, 0.9, 0.8, charge=1.2, base=base, axis=axis,
+                                 window=window)
         assert gamma(moved, spec) == gamma(standard, spec)
+
+
+class TestReusingGamma:
+    def test_reuses_across_rest_point_axis_and_window(self, spec, monkeypatch):
+        calls = count_adaptive_2d(monkeypatch)
+        standard = make_branch_pair("A", 0.6, 0.3, 0.9, 0.8, charge=1.2)
+        moved = make_branch_pair("A", 0.6, 0.3, 0.9, 0.8, charge=1.2, base=(3.1, 0.3, -0.2),
+                                 axis=(0.3, 1.0, -0.4), window=(-4.0, 11.5))
+        with reusing_gamma():
+            first = gamma(standard, spec)
+            assert gamma(moved, spec) == first
+        assert calls == {"gamma[A]": 1}
+        assert gamma(standard, spec) == first
+        assert calls == {"gamma[A]": 2}
+
+    def test_key_is_exact_bits(self, spec, monkeypatch):
+        # One quadrature per pair: each differs from the first in one key
+        # field, a float of it by as little as its sign or last bit.
+        calls = count_adaptive_2d(monkeypatch)
+        pairs = [
+            make_branch_pair("A", 0.0, 0.3, 0.9, 0.8),
+            make_branch_pair("A", -0.0, 0.3, 0.9, 0.8),
+            make_branch_pair("B", 0.0, 0.3, 0.9, 0.8),
+            make_branch_pair("A", 0.0, 0.3, 0.9, 0.8, charge=math.nextafter(1.0, 2.0)),
+            make_branch_pair("A", 0.0, math.nextafter(0.3, 1.0), 0.9, 0.8),
+            make_branch_pair("A", 0.0, 0.3, math.nextafter(0.9, 1.0), 0.8),
+            make_branch_pair("A", 0.0, 0.3, 0.9, math.nextafter(0.8, 1.0)),
+        ]
+        specs = [spec, dataclasses.replace(spec, quad_tol=math.nextafter(spec.quad_tol, 1.0))]
+        with reusing_gamma():
+            for s in specs:
+                for pair in pairs:
+                    gamma(pair, s)
+                    gamma(pair, s)
+        assert sum(calls.values()) == len(pairs) * len(specs)
+
+    def test_failure_is_stored_and_raised_again(self, spec, monkeypatch):
+        calls = count_adaptive_2d(monkeypatch, fail={"gamma[A]"})
+        pair = make_branch_pair("A", 0.6, 0.3, 0.9, 0.8)
+        with reusing_gamma():
+            for _ in range(3):
+                with pytest.raises(NumericFailure):
+                    gamma(pair, spec)
+        assert calls == {"gamma[A]": 1}
 
 
 class TestPhiSelf:
