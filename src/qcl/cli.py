@@ -156,18 +156,6 @@ def scenario_from_config(flat: dict) -> Scenario:
             k_max=flat.get("kernel.k_max"),
             quad_tol=flat["kernel.quad_tol"],
         )
-        window = (0.0, flat["times.T"])
-        pair_A = make_branch_pair(
-            "A", flat["particles.A.split.L"], flat["particles.A.split.t0"],
-            flat["particles.A.split.ramp"], flat["particles.A.split.hold"],
-            charge=flat["particles.A.charge"], base=(0.0, 0.0, 0.0), window=window,
-        )
-        pair_B = make_branch_pair(
-            "B", flat["particles.B.split.L"], flat["particles.B.split.t0"],
-            flat["particles.B.split.ramp"], flat["particles.B.split.hold"],
-            charge=flat["particles.B.charge"], base=(flat["geometry.D"], 0.0, 0.0),
-            window=window,
-        )
         background = None
         if flat["background"] is not None:
             background = coulomb_background(
@@ -175,8 +163,19 @@ def scenario_from_config(flat: dict) -> Scenario:
             )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    pairs = {}
+    for p, base in (("A", (0.0, 0.0, 0.0)), ("B", (flat["geometry.D"], 0.0, 0.0))):
+        split = f"particles.{p}.split"
+        try:
+            pairs[p] = make_branch_pair(
+                p, flat[f"{split}.L"], flat[f"{split}.t0"], flat[f"{split}.ramp"],
+                flat[f"{split}.hold"], charge=flat[f"particles.{p}.charge"], base=base,
+                window=(0.0, flat["times.T"]),
+            )
+        except ValueError as exc:
+            raise ConfigError(f"{split}: {exc}") from None
     return Scenario(
-        pair_A=pair_A, pair_B=pair_B, kernel=spec,
+        pair_A=pairs["A"], pair_B=pairs["B"], kernel=spec,
         D=flat["geometry.D"], T=flat["times.T"],
         T_A=flat["times.T_A"], T_B=flat["times.T_B"],
         background=background,

@@ -40,7 +40,7 @@ from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
-from .geometry import BranchPair, Scenario, Worldline, causal_margin
+from .geometry import BranchPair, Scenario, Worldline, _mutually_spacelike, causal_margin
 from .kernels import KernelSpec, _lw_batch, hadamard_dt_r
 from .quadrature import NumericFailure, adaptive_1d, adaptive_2d, panel_gauss_nodes
 
@@ -341,7 +341,7 @@ def commutator_functional(pair_A: BranchPair, pair_B: BranchPair, spec: KernelSp
     exactly 0.0 when the split windows are mutually spacelike (both
     causal margins positive).
     """
-    if causal_margin(pair_A, pair_B) > 0.0 and causal_margin(pair_B, pair_A) > 0.0:
+    if _mutually_spacelike(pair_A, pair_B):
         return 0.0
     forward = _one_sided_commutator(pair_A, pair_B, spec)
     reverse = _one_sided_commutator(pair_B, pair_A, spec)

@@ -262,6 +262,15 @@ class TestRunCommand:
         assert "particles.A.split" in result.stderr
         assert not (tmp_path / "o").exists()
 
+    def test_too_fast_particle_is_named_exits_1(self, runner, tmp_path):
+        cfg_dict = base_config()
+        cfg_dict["particles"]["B"]["split"].update(L=0.3, ramp=0.25)
+        cfg = write_config(tmp_path, cfg_dict)
+        result = runner.invoke(main, ["run", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert result.exit_code == 1
+        assert "input error: particles.B.split: peak speed" in result.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_invalid_json_exits_1_and_writes_nothing(self, runner, tmp_path):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json", encoding="utf-8")
@@ -428,14 +437,21 @@ class TestSweepCommand:
         evaluated = []
         monkeypatch.setattr("qcl.cli.build_report", evaluated.append)
         cfg = write_config(tmp_path, base_config())
-        # hold 0.2 fits the window [0, 1]; hold 0.5 ends the excursion at 1.1.
-        result = runner.invoke(main, ["sweep", str(cfg),
-                                      "--vary", "particles.A.split.hold=0.2:0.8:3",
-                                      "--out-dir", str(tmp_path / "s")])
-        assert result.exit_code == 1
-        assert "input error at particles.A.split.hold=0.5: particles.A.split" in result.stderr
-        assert evaluated == []
-        assert not (tmp_path / "s" / "sweep.csv").exists()
+        cases = [
+            # hold 0.2 fits the window [0, 1]; hold 0.5 ends the excursion at 1.1.
+            ("particles.A.split.hold=0.2:0.8:3",
+             "input error at particles.A.split.hold=0.5: particles.A.split: excursion"),
+            # With ramp 0.25, L 0.3 peaks at speed 1.125; L 0.1 and 0.2 are slower.
+            ("particles.A.split.L=0.1:0.3:3",
+             "input error at particles.A.split.L=0.29999999999999999: particles.A.split: peak speed"),
+        ]
+        for i, (vary, message) in enumerate(cases):
+            out = tmp_path / f"s{i}"
+            result = runner.invoke(main, ["sweep", str(cfg), "--vary", vary, "--out-dir", str(out)])
+            assert result.exit_code == 1
+            assert message in result.stderr
+            assert evaluated == []
+            assert not (out / "sweep.csv").exists()
 
     def test_rows_match_per_point_runs_with_a_background(self, runner, tmp_path):
         cfg_dict = base_config()

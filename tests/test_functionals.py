@@ -335,6 +335,30 @@ class TestCommutator:
         assert commutator_functional(s.pair_A, s.pair_B, s.kernel) == 0.0
 
 
+class TestNearTheLightCone:
+    # Equal split windows [0.5, 2.5] at distance 2 + eps: the margin is eps
+    # both ways, inside the 0.021 slack of oracles.causal_margin_grid_bound.
+    @staticmethod
+    def _scenario(eps):
+        spec, w = KernelSpec(sigma=0.07), (0.0, 3.0)
+        a = make_branch_pair("A", 0.4, 0.5, 0.5, 1.0, window=w)
+        b = make_branch_pair("B", 0.4, 0.5, 0.5, 1.0, base=(2.0 + eps, 0.0, 0.0), window=w)
+        return Scenario(pair_A=a, pair_B=b, kernel=spec, D=2.0 + eps, T=3.0, T_A=2.0, T_B=2.0)
+
+    def test_just_outside_the_cone_is_spacelike_with_zero_cross_phases(self):
+        s = self._scenario(0.01)
+        assert s.spacelike is True
+        rep = build_report(s)
+        assert rep.phi_AB == 0.0 and rep.phi_BA == 0.0
+        assert phi_pairing(s.pair_A, s.pair_B, s.kernel) == 0.0
+        assert commutator_functional(s.pair_A, s.pair_B, s.kernel) == 0.0
+
+    def test_just_inside_the_cone_is_not_spacelike(self):
+        s = self._scenario(-0.01)
+        assert s.spacelike is False
+        assert build_report(s).phi_AB != 0.0
+
+
 def _field_difference(pair, x):
     """Bare retarded four-potential of the right branch minus the left's at event x."""
     return lienard_wiechert(x, pair.right) - lienard_wiechert(x, pair.left)

@@ -15,6 +15,7 @@ from qcl.geometry import (
     make_branch_pair,
 )
 
+import oracles
 from conftest import mutual_scenario, one_way_scenario, spacelike_scenario
 
 
@@ -200,11 +201,38 @@ class TestCausalStructure:
 
     def test_margin_close_to_geometric_value(self):
         # Static pairs at distance D with equal split windows of length S:
-        # the margin is D - S up to the grid's Lipschitz slack.
+        # the margin is D - S exactly.
         w = (0.0, 3.0)
         a = make_branch_pair("A", 0.0, 0.5, 0.5, 1.0, base=(0, 0, 0), window=w)
         b = make_branch_pair("B", 0.0, 0.5, 0.5, 1.0, base=(6.0, 0, 0), window=w)
         S = 2 * 0.5 + 1.0
         m = causal_margin(a, b)
-        assert m == pytest.approx(6.0 - S, abs=0.05)
-        assert m <= 6.0 - S
+        assert m == 6.0 - S
+
+    def test_margin_is_never_below_the_grid_bound(self):
+        signs = set()
+        rng = np.random.default_rng(1101)
+        for _ in range(200):
+            probe, source = _random_pair(rng, "A"), _random_pair(rng, "B")
+            m = causal_margin(probe, source)
+            assert m >= oracles.causal_margin_grid_bound(probe, source)
+            signs.add(m > 0.0)
+        assert signs == {True, False}
+
+    def test_margin_equals_a_dense_scan(self):
+        signs = set()
+        rng = np.random.default_rng(1102)
+        for _ in range(40):
+            probe, source = _random_pair(rng, "A"), _random_pair(rng, "B")
+            m = causal_margin(probe, source)
+            assert abs(m - oracles.causal_margin_scan(probe, source, 400)) <= 1e-12
+            signs.add(m > 0.0)
+        assert signs == {True, False}
+
+
+def _random_pair(rng, label):
+    """A split with a random rest point, tilted axis, L, ramp, hold and t0; peak speed <= 15/16."""
+    L = rng.uniform(0.0, 1.2)
+    return make_branch_pair(label, L, rng.uniform(-1.0, 2.0), L * rng.uniform(1.0, 3.0) + 0.05,
+                            rng.uniform(0.0, 1.5), base=rng.uniform(-2.0, 2.0, 3),
+                            axis=rng.normal(size=3))
