@@ -15,7 +15,6 @@ from __future__ import annotations
 import copy
 import json
 import math
-import os
 from pathlib import Path
 
 import click
@@ -51,17 +50,12 @@ _SCHEMA = {
         "B": {"charge": float, "split": {"L": float, "t0": float, "ramp": float, "hold": float}},
     },
     "geometry": {"D": float},
-    "kernel": {"sigma": float, "k_max": float, "quad_tol": float},
-    "times": {"T": float, "T_A": float, "T_B": float},
+    "kernel": {"sigma": float, "quad_tol": float},
+    "times": {"T": float},
     "background": None,  # validated by hand
-    "seed": int,
 }
 
-_OPTIONAL = {
-    "kernel.k_max", "kernel.quad_tol",
-    "times.T_A", "times.T_B",
-    "background", "seed",
-}
+_OPTIONAL = {"kernel.quad_tol", "background"}
 
 
 def _walk_schema(data, schema, path: str, out: dict) -> None:
@@ -85,10 +79,6 @@ def _walk_schema(data, schema, path: str, out: dict) -> None:
             if isinstance(val, bool) or not isinstance(val, (int, float)):
                 raise ConfigError(f"{full}: expected a number, got {val!r}")
             out[full] = float(val)
-        elif sub is int:
-            if isinstance(val, bool) or not isinstance(val, int):
-                raise ConfigError(f"{full}: expected an integer, got {val!r}")
-            out[full] = int(val)
 
 
 def _validate_background(raw) -> dict | None:
@@ -118,44 +108,17 @@ def parse_config(raw: dict) -> dict:
     flat: dict = {}
     _walk_schema(raw, _SCHEMA, "", flat)
     flat["background"] = _validate_background(raw.get("background"))
-    flat.setdefault("seed", 0)
     flat.setdefault("kernel.quad_tol", 1e-6)
-
-    env_tol = os.environ.get("QCL_QUAD_TOL")
-    if env_tol is not None:
-        try:
-            flat["kernel.quad_tol"] = float(env_tol)
-        except ValueError:
-            raise ConfigError(f"QCL_QUAD_TOL: not a number: {env_tol!r}") from None
-
+    # The split-window durations are reported, never declared.
     for p in ("A", "B"):
-        s = {k.split(".")[-1]: flat[f"particles.{p}.split.{k.split('.')[-1]}"]
-             for k in ("L", "t0", "ramp", "hold")}
-        duration = 2.0 * s["ramp"] + s["hold"]
-        declared = flat.get(f"times.T_{p}")
-        if declared is not None and abs(declared - duration) > 1e-9:
-            raise ConfigError(
-                f"times.T_{p}: declared {declared} but the split parameters "
-                f"of particle {p} give {duration}"
-            )
-        flat[f"times.T_{p}"] = duration
-        # Summed in the order of SplitPath.t_end, which the Worldline check uses.
-        end = (s["t0"] + 2.0 * s["ramp"]) + s["hold"]
-        if s["t0"] < 0.0 or end > flat["times.T"]:
-            raise ConfigError(
-                f"particles.{p}.split: excursion [{s['t0']}, {end}] "
-                f"does not fit in the window [0, {flat['times.T']}]"
-            )
+        split = f"particles.{p}.split"
+        flat[f"times.T_{p}"] = 2.0 * flat[f"{split}.ramp"] + flat[f"{split}.hold"]
     return flat
 
 
 def scenario_from_config(flat: dict) -> Scenario:
     try:
-        spec = KernelSpec(
-            sigma=flat["kernel.sigma"],
-            k_max=flat.get("kernel.k_max"),
-            quad_tol=flat["kernel.quad_tol"],
-        )
+        spec = KernelSpec(sigma=flat["kernel.sigma"], quad_tol=flat["kernel.quad_tol"])
         background = None
         if flat["background"] is not None:
             background = coulomb_background(
@@ -354,11 +317,6 @@ def _apply_vary(raw: dict, key: str, value: float) -> dict:
     if isinstance(node[leaf], bool) or not isinstance(node[leaf], (int, float)):
         raise ConfigError(f"--vary {key}: target is not a number")
     node[leaf] = value
-    # A split-parameter sweep changes the derived sub-window durations;
-    # drop any declared ones so they are recomputed instead of clashing.
-    if key.startswith("particles.") and ".split." in key and "times" in cfg:
-        cfg["times"].pop("T_A", None)
-        cfg["times"].pop("T_B", None)
     return cfg
 
 

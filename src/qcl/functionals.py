@@ -162,7 +162,7 @@ def _gamma_momentum_pass(pair: BranchPair, spec: KernelSpec, bump: int) -> float
     pr, pl = pair.right.path, pair.left.path
     a, b = pair.split_window
     sigma = spec.sigma
-    k_up = min(spec.k_max, 4.5 / sigma)
+    k_up = 4.5 / sigma
 
     # Node counts scale with the largest phase k_up * t across the window
     # (time direction) and k_up * displacement (angle direction); ``bump``

@@ -131,7 +131,8 @@ class Worldline:
         if not isinstance(path, SplitPath):
             raise TypeError(f"a worldline must lie on a SplitPath, got {type(path).__name__}")
         if not (w0 <= path.t0 and path.t_end <= w1):
-            raise ValueError("window must contain the whole excursion")
+            raise ValueError(f"window [{w0}, {w1}] must contain the whole excursion "
+                             f"[{path.t0}, {path.t_end}]")
         vmax = 15.0 * abs(path.amplitude) / (8.0 * path.ramp)
         if not vmax < 1.0:
             raise ValueError(f"peak speed 15*|amplitude|/(8*ramp) = {vmax:.6g} is not below 1")
@@ -241,12 +242,12 @@ def _mutually_spacelike(a: BranchPair, b: BranchPair) -> bool:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Two branch pairs plus the kernel and windows that define one experiment.
+    """Two branch pairs plus the kernel and background that define one experiment.
 
-    ``T_A`` and ``T_B`` are the split-window durations of the two pairs,
-    ``T`` the common worldline window length, and ``D`` the distance
-    between the rest positions.  These are retained for reporting; the
-    pairs themselves carry the authoritative geometry.
+    The pairs carry the whole geometry.  Nothing in qcl reads ``D`` (the
+    distance between the rest positions), ``T`` (the common window length),
+    ``T_A`` or ``T_B`` (the split-window durations); they remain only
+    because perfbench/inputs.py still passes them.
     """
 
     pair_A: BranchPair

@@ -142,13 +142,14 @@ def implication_audit(samples) -> np.ndarray:
     is negative are vacuously ok (the implication asserts nothing there),
     and their bound_residual is still reported.  A triple like
     (0, 0, pi) shows why the precondition matters: the bound expression
-    reaches 2 > 1 there.
+    reaches 2 > 1 there.  A negative gamma raises ValueError, as in
+    :func:`robertson_residual`.
     """
     s = np.asarray(samples, dtype=float)
     if s.ndim != 2 or s.shape[1] != 3:
         raise ValueError("samples must have shape (N, 3)")
     ga, gb, phi = s[:, 0], s[:, 1], s[:, 2]
-    rob = ga * gb - phi * phi / 16.0
+    rob = robertson_residual(ga, gb, phi)
     bound = 1.0 - np.exp(-2.0 * ga) - np.exp(-2.0 * gb) * np.sin(0.5 * phi) ** 2
     ok = (rob < 0.0) | (bound >= -1e-12)
     out = np.empty(

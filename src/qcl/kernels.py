@@ -22,15 +22,12 @@ into two currents this gives the pairing weight
 
 which makes branch-difference double integrals non-negative for
 conserved currents (the timelike polarization cancels against the
-longitudinal one, leaving a manifestly positive transverse sum).  The
-retarded Green function in the same gauge is eta_mu_nu times the scalar
-``retarded_kernel`` below.
+longitudinal one, leaving a manifestly positive transverse sum).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +39,6 @@ __all__ = [
     "KernelSpec",
     "SingularityError",
     "hadamard_scalar",
-    "retarded_kernel",
     "smeared_coulomb",
     "retarded_time",
     "lienard_wiechert",
@@ -62,26 +58,17 @@ class KernelSpec:
     """Regularization and quadrature parameters shared across the functionals.
 
     sigma is the Gaussian frequency-damping scale (the smearing width of
-    the light cone), k_max the momentum cutoff used by mode-space
-    routines (defaults to 8/sigma), and quad_tol the relative tolerance
-    handed to the adaptive quadratures.
+    the light cone) and quad_tol the relative tolerance handed to the
+    adaptive quadratures.  Mode-space routines cut the momentum integral
+    at 4.5/sigma, where the weight e^{-k^2 sigma^2} is e^{-20.25}.
     """
 
     sigma: float
-    k_max: float | None = None
     quad_tol: float = 1e-6
 
     def __post_init__(self):
         if not self.sigma > 0.0:
             raise ValueError("sigma must be positive")
-        if self.k_max is None:
-            object.__setattr__(self, "k_max", 8.0 / self.sigma)
-        if self.k_max * self.sigma < 5.0:
-            warnings.warn(
-                f"k_max * sigma = {self.k_max * self.sigma:.3g} < 5: "
-                "mode-space truncation error may exceed quad_tol",
-                stacklevel=2,
-            )
         if not self.quad_tol > 0.0:
             raise ValueError("quad_tol must be positive")
 
@@ -117,33 +104,6 @@ def hadamard_dt_r(dt, r, spec: KernelSpec):
     if small.any():  # the r -> 0 limit, evaluated only where it is used
         u = dt[small] / (2.0 * s)
         out[small] = (1.0 - 2.0 * u * dawsn(u)) / (2.0 * _TWO_PI_SQ * s * s)
-    return out if out.ndim else float(out)
-
-
-def retarded_kernel(dt, r, spec: KernelSpec):
-    """Smeared retarded scalar: support on dt > 0, peaked where dt = r.
-
-    Built from the same damped modes as :func:`hadamard_dt_r`, with the
-    sharp time-ordering step kept:
-
-        theta(dt) * (sqrt(pi) / (8 pi^2 sigma r)) *
-            [exp(-(dt - r)^2 / 4 sigma^2) - exp(-(dt + r)^2 / 4 sigma^2)]
-
-    As sigma -> 0 this converges (as a distribution in dt - r) to the
-    bare delta(dt - r) / (4 pi r); on the spatial diagonal r -> 0 it is
-    finite, sqrt(pi) dt exp(-dt^2 / 4 sigma^2) / (8 pi^2 sigma^3).
-    """
-    s = spec.sigma
-    dt = np.asarray(dt, dtype=float)
-    r = np.asarray(r, dtype=float)
-    dt, r = np.broadcast_arrays(dt, r)
-    small = r < 1e-7 * s
-    r_safe = np.where(small, 1.0, r)
-    amp = math.sqrt(math.pi) / (8.0 * math.pi ** 2 * s)
-    diff = np.exp(-((dt - r) ** 2) / (4.0 * s * s)) - np.exp(-((dt + r) ** 2) / (4.0 * s * s))
-    direct = amp * diff / r_safe
-    limit = amp * (dt / (s * s)) * np.exp(-(dt * dt) / (4.0 * s * s))
-    out = np.where(small, limit, direct) * (dt > 0.0)
     return out if out.ndim else float(out)
 
 

@@ -117,10 +117,15 @@ def branch_overlap_exact(
         return 1.0 + 0.0j
     psi_a = _evolve_fock(modes, label, rtol)
     psi_b = _evolve_fock(modes, label_ref, rtol)
-    overlap = 1.0 + 0.0j
-    for i in range(modes.n_modes):
-        overlap *= np.vdot(psi_b[i], psi_a[i])
-    return complex(overlap)
+    return complex(_product_overlap(psi_b, psi_a))
+
+
+def _product_overlap(bra: np.ndarray, ket: np.ndarray) -> complex:
+    """<bra|ket> of two product states, one Fock vector per mode, multiplied mode by mode."""
+    out = 1.0 + 0.0j
+    for b, k in zip(bra, ket):
+        out *= np.vdot(b, k)
+    return out
 
 
 def _evolve_fock(modes: ModeSet, label: str, rtol: float) -> np.ndarray:
@@ -229,10 +234,7 @@ def joint_overlap_and_bound(modes: ModeSet, *, rtol: float = 1e-10) -> JointBoun
     psi = {label: _evolve_fock(modes, label, rtol) for label in JOINT_LABELS}
 
     def inner(ket: str, bra: str) -> complex:
-        out = 1.0 + 0.0j
-        for i in range(modes.n_modes):
-            out *= np.vdot(psi[bra][i], psi[ket][i])
-        return out
+        return _product_overlap(psi[bra], psi[ket])
 
     # <Omega_L | Omega_R> = (1/2) sum_Q <chi_LQ | chi_RQ>.
     alpha = abs(0.5 * (inner("RR", "LR") + inner("RL", "LL")))
@@ -318,7 +320,7 @@ def pair_mode_set(
     if n_k < 8 or n_k % 8:
         raise ValueError(f"n_k must be a positive multiple of 8, got {n_k}")
     sigma = spec.sigma
-    k_up = min(spec.k_max, 4.5 / sigma)
+    k_up = 4.5 / sigma
     kn, kw = panel_gauss_nodes(0.0, k_up, n_k // 8, 8)
     mun, muw = np.polynomial.legendre.leggauss(n_mu)
 

