@@ -21,10 +21,8 @@ from .kernels import (
     KernelSpec,
     SingularityError,
     coulomb_background,
-    hadamard_scalar,
-    lienard_wiechert,
+    hadamard_dt_r,
     pure_gauge_background,
-    retarded_time,
 )
 from .quadrature import NumericFailure, adaptive_1d, adaptive_2d
 from .functionals import (
@@ -75,10 +73,8 @@ __all__ = [
     "KernelSpec",
     "SingularityError",
     "coulomb_background",
-    "hadamard_scalar",
-    "lienard_wiechert",
+    "hadamard_dt_r",
     "pure_gauge_background",
-    "retarded_time",
     "NumericFailure",
     "adaptive_1d",
     "adaptive_2d",

@@ -12,7 +12,6 @@ failed, 3 a quadrature did not converge.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from pathlib import Path
@@ -52,7 +51,7 @@ _SCHEMA = {
     "geometry": {"D": float},
     "kernel": {"sigma": float, "quad_tol": float},
     "times": {"T": float},
-    "background": None,  # validated by hand
+    "background": None,  # validated by _validate_background
 }
 
 _OPTIONAL = {"kernel.quad_tol", "background"}
@@ -72,7 +71,7 @@ def _walk_schema(data, schema, path: str, out: dict) -> None:
             raise ConfigError(f"{full}: missing required key")
         val = data[key]
         if sub is None:
-            out[full] = val
+            out.update(_validate_background(val))
         elif isinstance(sub, dict):
             _walk_schema(val, sub, full, out)
         elif sub is float:
@@ -81,9 +80,10 @@ def _walk_schema(data, schema, path: str, out: dict) -> None:
             out[full] = float(val)
 
 
-def _validate_background(raw) -> dict | None:
+def _validate_background(raw) -> dict:
+    """Flat keys of the background: none for "none", else the Coulomb charge and position."""
     if raw is None or raw == "none":
-        return None
+        return {}
     if not isinstance(raw, dict) or set(raw) != {"coulomb"}:
         raise ConfigError(
             'background: expected "none" or {"coulomb": {"charge": q, "position": [x, y, z]}}'
@@ -100,29 +100,31 @@ def _validate_background(raw) -> dict | None:
     if (not isinstance(pos, list) or len(pos) != 3
             or any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in pos)):
         raise ConfigError("background.coulomb.position: expected [x, y, z]")
-    return {"charge": float(charge), "position": [float(p) for p in pos]}
+    return {"background.coulomb.charge": float(charge),
+            "background.coulomb.position": [float(p) for p in pos]}
 
 
 def parse_config(raw: dict) -> dict:
     """Validate a raw config dict into a flat {dotted.path: value} mapping."""
     flat: dict = {}
     _walk_schema(raw, _SCHEMA, "", flat)
-    flat["background"] = _validate_background(raw.get("background"))
-    flat.setdefault("kernel.quad_tol", 1e-6)
-    # The split-window durations are reported, never declared.
-    for p in ("A", "B"):
-        split = f"particles.{p}.split"
-        flat[f"times.T_{p}"] = 2.0 * flat[f"{split}.ramp"] + flat[f"{split}.hold"]
+    flat.setdefault("kernel.quad_tol", KernelSpec.quad_tol)
     return flat
+
+
+def _split_duration(flat: dict, p: str) -> float:
+    """Length 2*ramp + hold of particle p's split window: reported, never declared."""
+    split = f"particles.{p}.split"
+    return 2.0 * flat[f"{split}.ramp"] + flat[f"{split}.hold"]
 
 
 def scenario_from_config(flat: dict) -> Scenario:
     try:
         spec = KernelSpec(sigma=flat["kernel.sigma"], quad_tol=flat["kernel.quad_tol"])
         background = None
-        if flat["background"] is not None:
+        if "background.coulomb.charge" in flat:
             background = coulomb_background(
-                flat["background"]["charge"], flat["background"]["position"], spec
+                flat["background.coulomb.charge"], flat["background.coulomb.position"], spec
             )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -140,7 +142,7 @@ def scenario_from_config(flat: dict) -> Scenario:
     return Scenario(
         pair_A=pairs["A"], pair_B=pairs["B"], kernel=spec,
         D=flat["geometry.D"], T=flat["times.T"],
-        T_A=flat["times.T_A"], T_B=flat["times.T_B"],
+        T_A=_split_duration(flat, "A"), T_B=_split_duration(flat, "B"),
         background=background,
     )
 
@@ -194,8 +196,8 @@ def _matrix_blob(m: np.ndarray) -> dict:
 def _report_row(flat: dict, report, V: float, D_B: float, audit) -> dict:
     return {
         "D": flat["geometry.D"],
-        "T_A": flat["times.T_A"],
-        "T_B": flat["times.T_B"],
+        "T_A": _split_duration(flat, "A"),
+        "T_B": _split_duration(flat, "B"),
         "sigma": flat["kernel.sigma"],
         "gamma_A": report.gamma_A,
         "gamma_B": report.gamma_B,
@@ -302,22 +304,11 @@ def _load_json(path: Path) -> dict:
     return raw
 
 
-def _apply_vary(raw: dict, key: str, value: float) -> dict:
-    """Set a dotted numeric key in a (copied) raw config."""
-    cfg = copy.deepcopy(raw)
-    parts = key.split(".")
-    node = cfg
-    for p in parts[:-1]:
-        if not isinstance(node, dict) or p not in node:
-            raise ConfigError(f"--vary {key}: path does not exist in the config")
-        node = node[p]
-    leaf = parts[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        raise ConfigError(f"--vary {key}: path does not exist in the config")
-    if isinstance(node[leaf], bool) or not isinstance(node[leaf], (int, float)):
-        raise ConfigError(f"--vary {key}: target is not a number")
-    node[leaf] = value
-    return cfg
+def _apply_vary(flat: dict, key: str, value: float) -> dict:
+    """A copy of the parsed config with one numeric key set to value."""
+    if not isinstance(flat.get(key), float):
+        raise ConfigError(f"--vary {key}: not a numeric config key")
+    return {**flat, key: value}
 
 
 @main.command()
@@ -332,16 +323,17 @@ def sweep(config: Path, vary: str, out_dir: Path) -> None:
     raw = _load_json(config)
     try:
         key, grid = _parse_vary(vary)
+        base = parse_config(raw)
     except ConfigError as exc:
         click.echo(f"input error: {exc}", err=True)
         raise SystemExit(1)
 
-    # Every point is parsed and built before any is evaluated, so a bad
+    # Every point is built and checked before any is evaluated, so a bad
     # point fails the sweep without the cost of the points before it.
     points = []
     for value in grid:
         try:
-            flat = parse_config(_apply_vary(raw, key, float(value)))
+            flat = _apply_vary(base, key, float(value))
             points.append((float(value), flat, scenario_from_config(flat)))
         except ConfigError as exc:
             click.echo(f"input error at {key}={value:.17g}: {exc}", err=True)

@@ -29,13 +29,6 @@ __all__ = [
     "Scenario",
 ]
 
-def _event_array(e) -> np.ndarray:
-    """Accept any length-4 sequence (t, x, y, z) and return ndarray(4)."""
-    a = np.asarray(e, dtype=float)
-    if a.shape != (4,):
-        raise ValueError(f"expected a length-4 event, got shape {a.shape}")
-    return a
-
 
 def _smoothstep(u: np.ndarray) -> np.ndarray:
     """Quintic smoothstep 6u^5 - 15u^4 + 10u^3 on [0, 1], C^2 at both ends."""
@@ -92,6 +85,7 @@ class SplitPath:
         return self.amplitude * (up - down) / self.ramp
 
     def offset(self, ts: np.ndarray) -> np.ndarray:
+        """Displacement from the rest point, formed without subtracting it."""
         return self.displacement(ts)[..., None] * self.axis
 
     def position(self, ts: np.ndarray) -> np.ndarray:
@@ -140,10 +134,6 @@ class Worldline:
     def position(self, ts) -> np.ndarray:
         """Spatial position at lab times ts."""
         return self.path.position(ts)
-
-    def offset(self, ts) -> np.ndarray:
-        """Displacement from the path's rest point, formed without subtracting it."""
-        return self.path.offset(ts)
 
     def velocity(self, ts) -> np.ndarray:
         """Velocity at lab times ts; zero outside the excursion."""

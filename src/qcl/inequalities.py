@@ -190,7 +190,7 @@ class AuditResult:
     robertson_ok: bool
 
 
-def audit_report(report, V: float, D: float, *, tol: float = 1e-9) -> AuditResult:
+def audit_report(report, V: float, D: float) -> AuditResult:
     """Build the inequality audit for one report and its derived V, D."""
     comp = complementarity_residual(V, D)
     rob = robertson_residual(report.gamma_A, report.gamma_B, report.phi_BA)
@@ -203,7 +203,7 @@ def audit_report(report, V: float, D: float, *, tol: float = 1e-9) -> AuditResul
             math.exp(-2.0 * report.gamma_A),
             math.exp(-report.phi_BA ** 2 / (8.0 * report.gamma_A)),
         )
-    slack = tol + report.quad_error
+    slack = 1e-9 + report.quad_error
     return AuditResult(
         complementarity_residual=float(comp),
         robertson_residual=float(rob),

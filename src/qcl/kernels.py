@@ -13,12 +13,13 @@ where F is Dawson's integral (scipy.special.dawsn).
 Sign and index conventions.  With signature (+, -, -, -), the symmetric
 (Hadamard) two-point tensor of the gauge field in Feynman gauge is
 
-    <{A_mu(x), A_nu(y)}> = - eta_mu_nu * hadamard_scalar(x - y),
+    <{A_mu(x), A_nu(y)}> = - eta_mu_nu * hadamard_dt_r(dt, r),
 
-with ``hadamard_scalar`` the positive scalar returned here.  Contracted
+with dt = x^0 - y^0, r the spatial distance between x and y, and
+``hadamard_dt_r`` the positive scalar returned here.  Contracted
 into two currents this gives the pairing weight
 
-    J1 . J2 -> (v1 . v2 - 1) * hadamard_scalar
+    J1 . J2 -> (v1 . v2 - 1) * hadamard_dt_r
 
 which makes branch-difference double integrals non-negative for
 conserved currents (the timelike polarization cancels against the
@@ -33,15 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import dawsn, erf
 
-from .geometry import Worldline, _event_array
+from .geometry import Worldline
 
 __all__ = [
     "KernelSpec",
     "SingularityError",
-    "hadamard_scalar",
+    "hadamard_dt_r",
     "smeared_coulomb",
-    "retarded_time",
-    "lienard_wiechert",
     "coulomb_background",
     "pure_gauge_background",
 ]
@@ -60,7 +59,7 @@ class KernelSpec:
     sigma is the Gaussian frequency-damping scale (the smearing width of
     the light cone) and quad_tol the relative tolerance handed to the
     adaptive quadratures.  Mode-space routines cut the momentum integral
-    at 4.5/sigma, where the weight e^{-k^2 sigma^2} is e^{-20.25}.
+    at ``k_up`` = 4.5/sigma, where the weight e^{-k^2 sigma^2} is e^{-20.25}.
     """
 
     sigma: float
@@ -72,9 +71,14 @@ class KernelSpec:
         if not self.quad_tol > 0.0:
             raise ValueError("quad_tol must be positive")
 
+    @property
+    def k_up(self) -> float:
+        """Momentum cutoff 4.5/sigma of the mode-space routines."""
+        return 4.5 / self.sigma
 
-def hadamard_scalar(dx, spec: KernelSpec):
-    """Symmetric two-point scalar at four-separation dx, shape (..., 4).
+
+def hadamard_dt_r(dt, r, spec: KernelSpec):
+    """Symmetric two-point scalar at time lag dt and spatial distance r.
 
     Closed form of (1 / 2 pi^2) int_0^inf dk k exp(-k^2 sigma^2)
     cos(k dt) sin(k r) / (k r):
@@ -85,14 +89,6 @@ def hadamard_scalar(dx, spec: KernelSpec):
     Coincidence value 1 / (4 pi^2 sigma^2).  Even in dt, positive at the
     origin, and falling like 1 / (r^2 - dt^2) far from the light cone.
     """
-    dx = np.asarray(dx, dtype=float)
-    dt = dx[..., 0]
-    r = np.sqrt(np.sum(dx[..., 1:] ** 2, axis=-1))
-    return hadamard_dt_r(dt, r, spec)
-
-
-def hadamard_dt_r(dt, r, spec: KernelSpec):
-    """Hadamard scalar as a function of time lag and spatial distance."""
     s = spec.sigma
     dt = np.asarray(dt, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -173,29 +169,13 @@ def _light_cone_times(events: np.ndarray, w: Worldline, *, advanced: bool) -> np
     raise ArithmeticError(f"light-cone solve did not converge for {todo.size} events")
 
 
-def retarded_time(x, w: Worldline, *, advanced: bool = False) -> float:
-    """Emission time on w whose forward light cone passes through event x.
-
-    With ``advanced=True``, the absorption time whose backward light cone
-    does: t -+ |x - X_rest| where the source rests (the rest-point certificate
-    of :func:`_light_cone_times`), bracketed Newton elsewhere.  Raises
-    ArithmeticError if ||t - tau| - |x - X(tau)|| exceeds 1e-10.
-    """
-    e = _event_array(x)
-    tau = float(_light_cone_times(e[None, :], w, advanced=advanced)[0])
-    r = float(np.linalg.norm(e[1:] - w.position(np.asarray(tau))))
-    lag = tau - e[0] if advanced else e[0] - tau
-    residual = abs(lag - r)
-    if residual > 1e-10:
-        raise ArithmeticError(f"light-cone solve residual {residual:.3e} too large")
-    return tau
-
-
 def _lw_batch(events: np.ndarray, w: Worldline, *, advanced: bool = False) -> np.ndarray:
     """Lienard-Wiechert four-potential A^mu at events of shape (N, 4).
 
     A^mu = q (1, v) / (4 pi (R -+ R_vec . v)) evaluated at the retarded
-    (advanced) crossing time.  Raises SingularityError when an event sits
+    (advanced) crossing time; for a static charge, A = (q / 4 pi r, 0, 0, 0).
+    Before and after its excursion the source rests at its base and keeps
+    sourcing a Coulomb field.  Raises SingularityError when an event sits
     so close to the source that the denominator underflows the scale of
     the geometry.
     """
@@ -216,37 +196,19 @@ def _lw_batch(events: np.ndarray, w: Worldline, *, advanced: bool = False) -> np
     return out
 
 
-def lienard_wiechert(x, w: Worldline, *, advanced: bool = False) -> np.ndarray:
-    """Four-potential of a single worldline at event x (contravariant components).
-
-    For a static charge this reduces to A = (q / 4 pi r, 0, 0, 0).  Before
-    and after its excursion the source rests at its base and keeps sourcing
-    a Coulomb field.
-    """
-    e = _event_array(x)
-    return _lw_batch(e[None, :], w, advanced=advanced)[0]
-
-
 # ---------------------------------------------------------------------------
 # Background fields: callables mapping events (..., 4) -> A^mu (..., 4).
 
 
-def coulomb_background(charge: float, position, spec: KernelSpec | None = None):
-    """Static Coulomb background centered at a fixed spatial point.
-
-    When a kernel spec is supplied the potential is the smeared form
-    (finite at the center); otherwise the bare q / 4 pi r.
-    """
+def coulomb_background(charge: float, position, spec: KernelSpec):
+    """Smeared Coulomb background (see :func:`smeared_coulomb`) centered at a fixed point."""
     p = np.asarray(position, dtype=float).reshape(3)
 
     def field(events) -> np.ndarray:
         ev = np.asarray(events, dtype=float)
         r = np.linalg.norm(ev[..., 1:] - p, axis=-1)
         out = np.zeros(ev.shape)
-        if spec is None:
-            out[..., 0] = charge / (4.0 * math.pi * np.maximum(r, 1e-300))
-        else:
-            out[..., 0] = smeared_coulomb(r, charge, spec)
+        out[..., 0] = smeared_coulomb(r, charge, spec)
         return out
 
     return field

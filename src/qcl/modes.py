@@ -100,9 +100,7 @@ class ModeSet:
         return total
 
 
-def branch_overlap_exact(
-    modes: ModeSet, label: str, label_ref: str, *, rtol: float = 1e-10
-) -> complex:
+def branch_overlap_exact(modes: ModeSet, label: str, label_ref: str) -> complex:
     """Overlap of the field states driven by two joint labels, no mode algebra.
 
     Starting the field in vacuum, each mode evolves under
@@ -115,8 +113,8 @@ def branch_overlap_exact(
     """
     if label == label_ref:
         return 1.0 + 0.0j
-    psi_a = _evolve_fock(modes, label, rtol)
-    psi_b = _evolve_fock(modes, label_ref, rtol)
+    psi_a = _evolve_fock(modes, label)
+    psi_b = _evolve_fock(modes, label_ref)
     return complex(_product_overlap(psi_b, psi_a))
 
 
@@ -128,7 +126,7 @@ def _product_overlap(bra: np.ndarray, ket: np.ndarray) -> complex:
     return out
 
 
-def _evolve_fock(modes: ModeSet, label: str, rtol: float) -> np.ndarray:
+def _evolve_fock(modes: ModeSet, label: str) -> np.ndarray:
     dim = modes.n_max + 1
     n = modes.n_modes
     sq = np.sqrt(np.arange(1, dim))
@@ -146,9 +144,7 @@ def _evolve_fock(modes: ModeSet, label: str, rtol: float) -> np.ndarray:
 
     y0 = np.zeros(n * dim, dtype=complex)
     y0[::dim] = 1.0
-    sol = solve_ivp(
-        rhs, (t0, t1), y0, method="DOP853", rtol=rtol, atol=1e-13, dense_output=False
-    )
+    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=1e-10, atol=1e-13)
     if not sol.success:
         raise RuntimeError(f"Fock evolution failed: {sol.message}")
     psi = sol.y[:, -1].reshape(n, dim)
@@ -224,14 +220,14 @@ class JointBound:
     residual: float
 
 
-def joint_overlap_and_bound(modes: ModeSet, *, rtol: float = 1e-10) -> JointBound:
+def joint_overlap_and_bound(modes: ModeSet) -> JointBound:
     """Evaluate the joint overlap bound on one mode set, all via the exact route.
 
     Each joint label is evolved once in the truncated Fock basis; every
     overlap is then an inner product of stored states, so the bound is
     checked on a single consistent set of wavefunctions.
     """
-    psi = {label: _evolve_fock(modes, label, rtol) for label in JOINT_LABELS}
+    psi = {label: _evolve_fock(modes, label) for label in JOINT_LABELS}
 
     def inner(ket: str, bra: str) -> complex:
         return _product_overlap(psi[bra], psi[ket])
@@ -252,26 +248,20 @@ def joint_overlap_and_bound(modes: ModeSet, *, rtol: float = 1e-10) -> JointBoun
     return JointBound(alpha=alpha, distinguishability=d_cond, residual=residual)
 
 
-def random_mode_set(
-    rng: np.random.Generator,
-    n_modes: int = 3,
-    n_max: int = 30,
-    amplitude: float = 0.22,
-) -> ModeSet:
-    """A small random mode family for exercising both overlap routes.
+def random_mode_set(rng: np.random.Generator) -> ModeSet:
+    """A small random family of 3 modes for exercising both overlap routes.
 
-    Couplings are low-order complex trigonometric polynomials under a
-    sin^2 envelope that switches on and off smoothly at the window edges.
-    A joint label sums two such couplings, and slow modes integrate
+    Couplings are low-order complex trigonometric polynomials of scale 0.22
+    under a sin^2 envelope that switches on and off smoothly at the window
+    edges.  A joint label sums two such couplings, and slow modes integrate
     nearly coherently over the window, so per-mode displacements reach
-    |beta|^2 of about 4 in the tail of the defaults; n_max = 30 keeps the
-    top Fock level orders of magnitude below the 1e-8 leakage gate there.
+    |beta|^2 of about 4 in the tail; n_max = 30 keeps the top Fock level
+    orders of magnitude below the 1e-8 leakage gate there.
     """
-    omegas = rng.uniform(0.5, 3.0, size=n_modes)
+    omegas = rng.uniform(0.5, 3.0, size=3)
     t1 = float(rng.uniform(2.0, 4.0))
     coeffs = {
-        key: (rng.normal(size=(n_modes, 3)) + 1j * rng.normal(size=(n_modes, 3)))
-        * amplitude
+        key: (rng.normal(size=(omegas.size, 3)) + 1j * rng.normal(size=(omegas.size, 3))) * 0.22
         for key in ("AR", "AL", "BR", "BL")
     }
 
@@ -292,17 +282,11 @@ def random_mode_set(
         omegas=omegas,
         window=(0.0, t1),
         couplings={key: make_g(c) for key, c in coeffs.items()},
-        n_max=n_max,
+        n_max=30,
     )
 
 
-def pair_mode_set(
-    pair: BranchPair,
-    spec: KernelSpec,
-    n_k: int = 128,
-    n_mu: int = 8,
-    n_max: int = 6,
-) -> ModeSet:
+def pair_mode_set(pair: BranchPair, spec: KernelSpec, n_k: int = 128, n_mu: int = 8) -> ModeSet:
     """Project a split worldline pair onto a (k, mu) grid of photon modes.
 
     Mode (k_j, mu_m) couples to branch P of the pair through
@@ -311,17 +295,17 @@ def pair_mode_set(
         c    = sqrt( (1 - mu^2) k e^{-k^2 sigma^2} W_k W_mu / (8 pi^2) ),
 
     where a_P is the branch displacement along the split axis and W are
-    the Gauss-Legendre weights of the grid: n_k / 8 panels of 8 nodes in k,
-    so n_k must be a positive multiple of 8.  With these weights the
-    closed-form dephasing exponent between labels differing in this
-    particle's branch is precisely the quadrature approximation of the
-    continuum dephasing integral.
+    the Gauss-Legendre weights of the grid: n_k / 8 panels of 8 nodes in
+    k up to ``spec.k_up``, so n_k must be a positive multiple of 8.  With
+    these weights the closed-form dephasing exponent between labels
+    differing in this particle's branch is precisely the quadrature
+    approximation of the continuum dephasing integral.  The exact route
+    truncates each mode at n_max = 6.
     """
     if n_k < 8 or n_k % 8:
         raise ValueError(f"n_k must be a positive multiple of 8, got {n_k}")
     sigma = spec.sigma
-    k_up = 4.5 / sigma
-    kn, kw = panel_gauss_nodes(0.0, k_up, n_k // 8, 8)
+    kn, kw = panel_gauss_nodes(0.0, spec.k_up, n_k // 8, 8)
     mun, muw = np.polynomial.legendre.leggauss(n_mu)
 
     kk = np.repeat(kn, n_mu)
@@ -347,5 +331,5 @@ def pair_mode_set(
         omegas=kk,
         window=(a0, b0),
         couplings={"AR": make_g(pair.right.path), "AL": make_g(pair.left.path)},
-        n_max=n_max,
+        n_max=6,
     )

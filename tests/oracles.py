@@ -86,9 +86,9 @@ def gamma_four_term_integrand(pair, spec):
     def integrand(ts: np.ndarray, us: np.ndarray) -> np.ndarray:
         total = np.zeros_like(ts)
         for wp, sp in pair.branches():
-            xp, vp = wp.offset(ts), wp.velocity(ts)
+            xp, vp = wp.path.offset(ts), wp.velocity(ts)
             for wq, sq in pair.branches():
-                xq, vq = wq.offset(us), wq.velocity(us)
+                xq, vq = wq.path.offset(us), wq.velocity(us)
                 r = np.linalg.norm(xp - xq, axis=-1)
                 vv = np.sum(vp * vq, axis=-1)
                 total += sp * sq * (vv - 1.0) * hadamard_dt_r(ts - us, r, spec)
@@ -109,9 +109,9 @@ def own_field_terms(pair, spec):
         us = ts - lags
         out = {}
         for p, wp in (("R", pair.right), ("L", pair.left)):
-            xp, vp = wp.offset(ts), wp.velocity(ts)
+            xp, vp = wp.path.offset(ts), wp.velocity(ts)
             for q, wq in (("R", pair.right), ("L", pair.left)):
-                xq, vq = wq.offset(us), wq.velocity(us)
+                xq, vq = wq.path.offset(us), wq.velocity(us)
                 r = np.linalg.norm(xp - xq, axis=-1)
                 vv = np.sum(vp * vq, axis=-1)
                 out[p + q] = (1.0 - vv) * retarded_kernel(lags, r, spec)

@@ -1,8 +1,10 @@
-"""Every exported and every traced name resolves, so a deleted definition cannot go unnoticed."""
+"""The public surface: every exported and traced name resolves, and removed keywords stay removed."""
 
 import importlib
 import pkgutil
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import qcl
@@ -46,3 +48,26 @@ def test_traced_names_resolve():
             if not callable(obj):
                 missing.append(f"{module}.{name}")
     assert missing == []
+
+
+# Keywords that only ever took their default are now constants.
+REMOVED_KEYWORDS = {
+    "random_mode_set-n_modes": lambda: qcl.random_mode_set(np.random.default_rng(0), n_modes=3),
+    "random_mode_set-n_max": lambda: qcl.random_mode_set(np.random.default_rng(0), n_max=30),
+    "random_mode_set-amplitude": lambda: qcl.random_mode_set(np.random.default_rng(0),
+                                                              amplitude=0.22),
+    "pair_mode_set-n_max": lambda: qcl.pair_mode_set(
+        qcl.make_branch_pair("A", 0.2, 0.1, 0.25, 0.2), qcl.KernelSpec(sigma=0.07), n_max=6),
+    "branch_overlap_exact-rtol": lambda: qcl.branch_overlap_exact(
+        qcl.random_mode_set(np.random.default_rng(0)), "RR", "RR", rtol=1e-10),
+    "joint_overlap_and_bound-rtol": lambda: qcl.joint_overlap_and_bound(
+        qcl.random_mode_set(np.random.default_rng(0)), rtol=1e-10),
+    "audit_report-tol": lambda: qcl.audit_report(
+        SimpleNamespace(gamma_A=0.5, gamma_B=0.5, phi_BA=0.3, quad_error=0.0), 0.5, 0.5, tol=1e-9),
+}
+
+
+@pytest.mark.parametrize("call", REMOVED_KEYWORDS.values(), ids=REMOVED_KEYWORDS.keys())
+def test_removed_keyword_raises_type_error(call):
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        call()

@@ -76,10 +76,11 @@ def runner():
 class TestParseConfig:
     def test_durations_are_derived_from_split_parameters(self):
         flat = parse_config(base_config())
-        assert flat["times.T_A"] == 0.7
-        assert flat["times.T_B"] == 0.7
+        assert "times.T_A" not in flat and "times.T_B" not in flat
+        scenario = scenario_from_config(flat)
+        assert (scenario.T_A, scenario.T_B) == (0.7, 0.7)
         assert flat["kernel.quad_tol"] == 1e-6
-        assert flat["background"] is None
+        assert scenario.background is None
 
     def test_unknown_key_reported_with_dotted_path(self):
         cfg = base_config()
@@ -135,11 +136,13 @@ class TestParseConfig:
     def test_background_none_and_coulomb(self):
         cfg = base_config()
         cfg["background"] = "none"
-        assert parse_config(cfg)["background"] is None
-        cfg["background"] = {"coulomb": {"charge": 0.5, "position": [1.0, 0.0, 0.0]}}
-        assert parse_config(cfg)["background"] == {
-            "charge": 0.5, "position": [1.0, 0.0, 0.0],
+        assert parse_config(cfg) == parse_config(base_config())
+        cfg["background"] = {"coulomb": {"charge": 0.5, "position": [1, 0.0, 0.0]}}
+        flat = parse_config(cfg)
+        assert {k: v for k, v in flat.items() if k.startswith("background")} == {
+            "background.coulomb.charge": 0.5, "background.coulomb.position": [1.0, 0.0, 0.0],
         }
+        assert scenario_from_config(flat).background is not None
 
     @pytest.mark.parametrize("bad", [
         {"coulomb": {"charge": 0.5}},
@@ -174,23 +177,24 @@ class TestVaryParsing:
             _parse_vary(bad)
 
     def test_apply_vary_sets_nested_value(self):
-        cfg = _apply_vary(base_config(), "particles.A.charge", 2.5)
-        assert cfg["particles"]["A"]["charge"] == 2.5
+        flat = _apply_vary(parse_config(base_config()), "particles.A.charge", 2.5)
+        assert flat["particles.A.charge"] == 2.5
 
     def test_apply_vary_leaves_original_untouched(self):
-        raw = base_config()
-        _apply_vary(raw, "geometry.D", 3.0)
-        assert raw["geometry"]["D"] == 10.0
+        flat = parse_config(base_config())
+        _apply_vary(flat, "geometry.D", 3.0)
+        assert flat["geometry.D"] == 10.0
 
     def test_apply_vary_rejects_missing_path(self):
-        with pytest.raises(ConfigError, match="does not exist"):
-            _apply_vary(base_config(), "geometry.tilt", 1.0)
+        with pytest.raises(ConfigError, match="geometry.tilt: not a numeric config key"):
+            _apply_vary(parse_config(base_config()), "geometry.tilt", 1.0)
 
     def test_apply_vary_rejects_non_numeric_target(self):
         cfg = base_config()
-        cfg["background"] = "none"
-        with pytest.raises(ConfigError, match="not a number"):
-            _apply_vary(cfg, "background", 1.0)
+        cfg["background"] = {"coulomb": {"charge": 0.5, "position": [1.0, 0.0, 0.0]}}
+        for key in ("background", "background.coulomb.position"):
+            with pytest.raises(ConfigError, match=f"--vary {key}: not a numeric config key"):
+                _apply_vary(parse_config(cfg), key, 1.0)
 
 
 class TestRunCommand:
@@ -401,7 +405,7 @@ class TestSweepCommand:
         result = runner.invoke(main, ["sweep", str(cfg), "--vary", "kernel.k_max=5:9:2",
                                       "--out-dir", str(tmp_path / "s")])
         assert result.exit_code == 1
-        assert "does not exist" in result.output
+        assert "--vary kernel.k_max: not a numeric config key" in result.output
 
     def test_partial_quadrature_failure_marks_row_and_exits_3(
             self, runner, tmp_path, monkeypatch):
@@ -464,6 +468,35 @@ class TestSweepCommand:
             assert r.exit_code == 0, r.output
             run_row = read_csv(out / "report.csv")[0]
             assert {c: row[c] for c in REPORT_COLUMNS} == run_row
+
+    @pytest.mark.parametrize("section, key, grid", [
+        ("kernel", "quad_tol", "1e-6:1e-4:2"),
+        ("background", "coulomb.charge", "0.5:0.9:2"),
+    ], ids=["kernel.quad_tol", "background.coulomb.charge"])
+    def test_rows_match_per_point_runs_for_any_numeric_key(
+            self, runner, tmp_path, section, key, grid):
+        cfg_dict = base_config()
+        cfg_dict["background"] = {"coulomb": {"charge": 0.9, "position": [0.3, 0.5, 0.0]}}
+        assert "quad_tol" not in cfg_dict["kernel"]
+        cfg = write_config(tmp_path, cfg_dict)
+        vary = f"{section}.{key}"
+        result = runner.invoke(main, ["sweep", str(cfg), "--vary", f"{vary}={grid}",
+                                      "--out-dir", str(tmp_path / "s")])
+        assert result.exit_code == 0, result.output
+        rows = read_csv(tmp_path / "s" / "sweep.csv")
+        assert [float(row["value"]) for row in rows] == [float(v) for v in grid.split(":")[:2]]
+        for i, row in enumerate(rows):
+            point = json.loads(json.dumps(cfg_dict))
+            node = point[section]
+            *path, leaf = key.split(".")
+            for p in path:
+                node = node[p]
+            node[leaf] = float(row["value"])
+            out = tmp_path / f"r{i}"
+            r = runner.invoke(main, ["run", str(write_config(tmp_path, point, f"point{i}.json")),
+                                     "--out-dir", str(out)])
+            assert r.exit_code == 0, r.output
+            assert {c: row[c] for c in REPORT_COLUMNS} == read_csv(out / "report.csv")[0]
 
 
 class TestSweepReusesGamma:

@@ -19,7 +19,7 @@ from qcl.functionals import (
     reusing_gamma,
 )
 from qcl.geometry import Scenario, causal_margin, make_branch_pair
-from qcl.kernels import KernelSpec, coulomb_background, lienard_wiechert, pure_gauge_background
+from qcl.kernels import KernelSpec, _lw_batch, coulomb_background, pure_gauge_background
 from qcl.quadrature import NumericFailure, panel_gauss_nodes
 from qcl.quantum import rho_A
 
@@ -361,7 +361,8 @@ class TestNearTheLightCone:
 
 def _field_difference(pair, x):
     """Bare retarded four-potential of the right branch minus the left's at event x."""
-    return lienard_wiechert(x, pair.right) - lienard_wiechert(x, pair.left)
+    ev = np.array([x], dtype=float)
+    return (_lw_batch(ev, pair.right) - _lw_batch(ev, pair.left))[0]
 
 
 class TestRetardedFieldDifference:

@@ -117,8 +117,9 @@ class TestBranchPair:
         # Built independently from the same raw axis, normalised once.
         want = Worldline(1.3, (0.2, 4.3), SplitPath(base, axis, -0.7 / 2.0, 0.6, 0.9, 1.1))
         ts = np.linspace(-1.0, 5.5, 1301)  # past both ends of the window
-        for f in ("position", "offset", "velocity"):
+        for f in ("position", "velocity"):
             assert np.array_equal(getattr(pair.left, f)(ts), getattr(want, f)(ts)), f
+        assert np.array_equal(pair.left.path.offset(ts), want.path.offset(ts))
         assert (pair.left.charge, pair.left.window) == (want.charge, want.window)
 
     def test_split_window_is_the_excursion(self):
@@ -160,8 +161,9 @@ class TestBranchPair:
         pair = make_branch_pair("A", 0.7, 0.6, 0.9, 1.1, charge=-1.3, axis=(-0.6, 0.8, 0.3))
         again = BranchPair(pair.label, pair.right)
         ts = np.linspace(0.0, 4.0, 401)
-        for f in ("position", "offset", "velocity"):
+        for f in ("position", "velocity"):
             assert np.array_equal(getattr(again.left, f)(ts), getattr(pair.left, f)(ts)), f
+        assert np.array_equal(again.left.path.offset(ts), pair.left.path.offset(ts))
         assert again.split_window == pair.split_window
         assert again.left.charge == pair.right.charge == -1.3
 
