@@ -77,7 +77,18 @@ def _walk_schema(data, schema, path: str, out: dict) -> None:
         elif sub is float:
             if isinstance(val, bool) or not isinstance(val, (int, float)):
                 raise ConfigError(f"{full}: expected a number, got {val!r}")
-            out[full] = float(val)
+            out[full] = _finite(val, full)
+
+
+def _finite(val, key: str) -> float:
+    """val as a float; NaN, an infinity or an int too large for a float is a ConfigError."""
+    try:
+        x = float(val)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{key}: expected a finite number")
+    return x
 
 
 def _validate_background(raw) -> dict:
@@ -100,8 +111,9 @@ def _validate_background(raw) -> dict:
     if (not isinstance(pos, list) or len(pos) != 3
             or any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in pos)):
         raise ConfigError("background.coulomb.position: expected [x, y, z]")
-    return {"background.coulomb.charge": float(charge),
-            "background.coulomb.position": [float(p) for p in pos]}
+    return {"background.coulomb.charge": _finite(charge, "background.coulomb.charge"),
+            "background.coulomb.position": [_finite(p, "background.coulomb.position")
+                                            for p in pos]}
 
 
 def parse_config(raw: dict) -> dict:
@@ -371,10 +383,12 @@ def _parse_vary(vary: str) -> tuple[str, np.ndarray]:
         steps = int(parts[2])
     except ValueError:
         raise ConfigError(f"--vary: could not parse grid {rhs!r}") from None
+    key = key.strip()
+    start, stop = _finite(start, key), _finite(stop, key)
     if steps < 1:
         raise ConfigError("--vary: steps must be at least 1")
     grid = np.linspace(start, stop, steps) if steps > 1 else np.array([start])
-    return key.strip(), grid
+    return key, grid
 
 
 @main.command()

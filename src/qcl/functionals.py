@@ -50,7 +50,6 @@ __all__ = [
     "gamma_momentum",
     "phi_self",
     "phi_pairing",
-    "branch_pairing",
     "commutator_functional",
     "build_report",
     "reusing_gamma",
@@ -63,7 +62,7 @@ __all__ = [
 
 def _gamma_integrand(pair: BranchPair, spec: KernelSpec):
     """Gamma's (t, u) integrand before the factor q^2/4 (see :func:`gamma`)."""
-    p = pair.right.path
+    p = pair.right
 
     def integrand(ts: np.ndarray, us: np.ndarray) -> np.ndarray:
         d_t, d_u = p.displacement(ts), p.displacement(us)
@@ -85,7 +84,7 @@ _GAMMA_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
 def reusing_gamma():
     """Compute each distinct Gamma once inside the block, and forget them at its end.
 
-    Results are keyed by the pair's label and charge, its right path's
+    Results are keyed by the pair's label and charge, its right branch's
     amplitude, t0, ramp and hold, and the KernelSpec, every float by its
     exact bits.  The key leaves out the rest point, the axis and the
     window: Gamma's integrand sees only the displacement and its rate
@@ -103,7 +102,7 @@ def _gamma_with_error(pair: BranchPair, spec: KernelSpec) -> tuple[float, float]
     memo = _GAMMA_MEMO.get()
     if memo is None:
         return _compute_gamma(pair, spec)
-    p = pair.right.path
+    p = pair.right
     floats = (pair.charge, p.amplitude, p.t0, p.ramp, p.hold, *astuple(spec))
     key = (pair.label, *(float(x).hex() for x in floats))
     if key not in memo:
@@ -119,7 +118,7 @@ def _gamma_with_error(pair: BranchPair, spec: KernelSpec) -> tuple[float, float]
 
 def _compute_gamma(pair: BranchPair, spec: KernelSpec) -> tuple[float, float]:
     a, b = pair.split_window
-    knots = pair.split_knots()
+    knots = pair.right.knots()
     val, err = adaptive_2d(
         _gamma_integrand(pair, spec), (a, b), (a, b),
         tol=spec.quad_tol, knots_x=knots, knots_y=knots,
@@ -159,7 +158,7 @@ def gamma(pair: BranchPair, spec: KernelSpec) -> float:
 
 
 def _gamma_momentum_pass(pair: BranchPair, spec: KernelSpec, bump: int) -> float:
-    pr, pl = pair.right.path, pair.left.path
+    pr, pl = pair.right, pair.left
     a, b = pair.split_window
     sigma = spec.sigma
     k_up = spec.k_up
@@ -271,7 +270,7 @@ def _probe_phase(probe: BranchPair, potential, spec: KernelSpec, name: str) -> t
         return total
 
     val, err = adaptive_1d(
-        integrand, a, b, tol=spec.quad_tol, knots=probe.split_knots(), name=name,
+        integrand, a, b, tol=spec.quad_tol, knots=probe.right.knots(), name=name,
     )
     q = probe.charge
     return q * val, abs(q) * err
@@ -280,24 +279,16 @@ def _probe_phase(probe: BranchPair, potential, spec: KernelSpec, name: str) -> t
 def _branch_pairing_with_error(
     probe: BranchPair, source: Worldline, spec: KernelSpec
 ) -> tuple[float, float]:
+    """Phase of the probe's branch difference in one source branch's bare retarded field."""
     return _probe_phase(
         probe, lambda ev: _lw_batch(ev, source), spec, f"pairing[{probe.label}]",
     )
 
 
-def branch_pairing(probe: BranchPair, source: Worldline, spec: KernelSpec) -> float:
-    """Phase of the probe's branch difference in one source branch's field.
-
-    q_probe int dt sum_P s_P [A^0(t, X_P(t)) - v_P(t) . A_vec(t, X_P(t))]
-    with A the bare retarded potential of the source worldline.
-    """
-    return _branch_pairing_with_error(probe, source, spec)[0]
-
-
 def phi_pairing(probe: BranchPair, source: BranchPair, spec: KernelSpec) -> float:
     """Pairing phase: probe branch difference against source branch difference.
 
-    Equal to branch_pairing(probe, source.right) minus the same with
+    Equal to the pairing of the probe with source.right minus that with
     source.left, evaluated as a single integral of the retarded-field
     difference.  When every source split-window event is outside the past
     light cone of every probe split-window event (positive causal

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "SplitPath",
     "Worldline",
     "BranchPair",
     "make_branch_pair",
@@ -42,31 +42,55 @@ def _smoothstep_rate(u: np.ndarray) -> np.ndarray:
     return 30.0 * u * u * (1.0 - u) * (1.0 - u)
 
 
-class SplitPath:
-    """Smooth excursion along a fixed axis: rest, ramp out, hold, ramp back.
+@dataclass(frozen=True, eq=False)
+class Worldline:
+    """One branch of a split: a charged point particle inside a finite lab-time window.
 
-    The displacement is ``amplitude * s(t)`` along ``axis`` where s rises
-    from 0 to 1 over [t0, t0 + ramp] through the quintic smoothstep, stays
-    at 1 for ``hold``, and returns to 0 over another ``ramp``.  The profile
-    is C^2 in time, so the current it generates has no kinks.  Peak speed
-    is |amplitude| * 15 / (8 * ramp), reached mid-ramp.
+    The particle rests at ``base`` and makes a smooth excursion along
+    ``axis``: its displacement is ``amplitude * s(t)`` where s rises from
+    0 to 1 over [t0, t0 + ramp] through the quintic smoothstep, stays at 1
+    for ``hold``, and returns to 0 over another ``ramp``.  The profile is
+    C^2 in time, so the current it generates has no kinks.
+
+    This is the one place that states what a branch is: ramp > 0,
+    hold >= 0, a nonzero axis (normalised here, once), a window that
+    contains the whole excursion, and a peak speed 15 * |amplitude| /
+    (8 * ramp), reached mid-ramp, below 1.  Outside the excursion the
+    particle rests at its base, before and after the window too: retarded
+    fields have a source at all times, so the methods take any lab time.
+    Worldlines compare and hash by identity.
     """
 
-    def __init__(self, base, axis, amplitude: float, t0: float, ramp: float, hold: float):
-        if ramp <= 0.0:
+    charge: float
+    window: tuple[float, float]
+    base: np.ndarray
+    axis: np.ndarray
+    amplitude: float
+    t0: float
+    ramp: float
+    hold: float
+
+    def __post_init__(self):
+        if self.ramp <= 0.0:
             raise ValueError("ramp must be positive")
-        if hold < 0.0:
+        if self.hold < 0.0:
             raise ValueError("hold must be non-negative")
-        self.base = np.asarray(base, dtype=float).reshape(3)
-        axis = np.asarray(axis, dtype=float).reshape(3)
+        axis = np.asarray(self.axis, dtype=float).reshape(3)
         norm = math.sqrt(float(axis @ axis))
         if norm == 0.0:
             raise ValueError("axis must be a nonzero vector")
-        self.axis = axis / norm
-        self.amplitude = float(amplitude)
-        self.t0 = float(t0)
-        self.ramp = float(ramp)
-        self.hold = float(hold)
+        put = partial(object.__setattr__, self)
+        put("base", np.asarray(self.base, dtype=float).reshape(3))
+        put("axis", axis / norm)
+        for name in ("amplitude", "t0", "ramp", "hold"):
+            put(name, float(getattr(self, name)))
+        w0, w1 = self.window
+        if not (w0 <= self.t0 and self.t_end <= w1):
+            raise ValueError(f"window [{w0}, {w1}] must contain the whole excursion "
+                             f"[{self.t0}, {self.t_end}]")
+        vmax = 15.0 * abs(self.amplitude) / (8.0 * self.ramp)
+        if not vmax < 1.0:
+            raise ValueError(f"peak speed 15*|amplitude|/(8*ramp) = {vmax:.6g} is not below 1")
 
     @property
     def t_end(self) -> float:
@@ -88,69 +112,30 @@ class SplitPath:
         """Displacement from the rest point, formed without subtracting it."""
         return self.displacement(ts)[..., None] * self.axis
 
-    def position(self, ts: np.ndarray) -> np.ndarray:
-        return self.base + self.offset(ts)
-
-    def velocity(self, ts: np.ndarray) -> np.ndarray:
-        r = self.displacement_rate(ts)
-        return r[..., None] * self.axis
-
-    def knots(self) -> list[float]:
-        return [
-            self.t0,
-            self.t0 + self.ramp,
-            self.t0 + self.ramp + self.hold,
-            self.t_end,
-        ]
-
-
-@dataclass(frozen=True)
-class Worldline:
-    """A charged point particle on a SplitPath inside a finite lab-time window.
-
-    This is the one place that states what a branch is.  The path must be a
-    SplitPath, the window must contain its whole excursion, and the peak
-    speed 15 * |amplitude| / (8 * ramp) must be below 1.  Outside the
-    excursion a SplitPath rests at its base, so the particle rests there
-    before and after the window too: retarded fields have a source at all
-    times, and the methods below hand any lab time straight to the path.
-    """
-
-    charge: float
-    window: tuple[float, float]
-    path: SplitPath
-
-    def __post_init__(self):
-        path, (w0, w1) = self.path, self.window
-        if not isinstance(path, SplitPath):
-            raise TypeError(f"a worldline must lie on a SplitPath, got {type(path).__name__}")
-        if not (w0 <= path.t0 and path.t_end <= w1):
-            raise ValueError(f"window [{w0}, {w1}] must contain the whole excursion "
-                             f"[{path.t0}, {path.t_end}]")
-        vmax = 15.0 * abs(path.amplitude) / (8.0 * path.ramp)
-        if not vmax < 1.0:
-            raise ValueError(f"peak speed 15*|amplitude|/(8*ramp) = {vmax:.6g} is not below 1")
-
     def position(self, ts) -> np.ndarray:
         """Spatial position at lab times ts."""
-        return self.path.position(ts)
+        return self.base + self.offset(ts)
 
     def velocity(self, ts) -> np.ndarray:
         """Velocity at lab times ts; zero outside the excursion."""
-        return self.path.velocity(ts)
+        return self.displacement_rate(ts)[..., None] * self.axis
+
+    def knots(self) -> list[float]:
+        """The excursion's ramp and hold boundaries, from t0 to t_end."""
+        return [self.t0, self.t0 + self.ramp, self.t0 + self.ramp + self.hold, self.t_end]
 
 
 @dataclass(frozen=True)
 class BranchPair:
     """One particle in a symmetric superposition of two worldline branches.
 
-    Built from its right branch alone, a Worldline on a SplitPath.  The left
-    branch is the same worldline on a copy of that path with the amplitude
-    negated, so d_L(t) = -d_R(t) bitwise along one axis from one rest point,
-    and ``split_window`` is the path's excursion (t0, t0 + 2*ramp + hold),
-    outside which the branches coincide in position and velocity.  By
-    convention the right branch carries amplitude sign +1 and the left
-    branch -1 in every branch difference built from the pair.
+    Built from its right branch alone.  The left branch is a copy of that
+    worldline with the amplitude negated, so d_L(t) = -d_R(t) bitwise along
+    one axis from one rest point, and ``split_window`` is the excursion
+    (t0, t0 + 2*ramp + hold), outside which the branches coincide in
+    position and velocity.  By convention the right branch carries
+    amplitude sign +1 and the left branch -1 in every branch difference
+    built from the pair.
     """
 
     label: str
@@ -159,12 +144,12 @@ class BranchPair:
     split_window: tuple[float, float] = field(init=False)
 
     def __post_init__(self):
-        path = self.right.path
-        # A copy, not a new SplitPath: normalising the axis again could move its last bit.
-        mirror = copy.copy(path)
-        mirror.amplitude = -path.amplitude
-        object.__setattr__(self, "left", replace(self.right, path=mirror))
-        object.__setattr__(self, "split_window", (path.t0, path.t_end))
+        right = self.right
+        # A copy, not a new Worldline: normalising the axis again could move its last bit.
+        left = copy.copy(right)
+        object.__setattr__(left, "amplitude", -right.amplitude)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "split_window", (right.t0, right.t_end))
 
     @property
     def charge(self) -> float:
@@ -177,10 +162,6 @@ class BranchPair:
     def branches(self) -> tuple[tuple[Worldline, float], tuple[Worldline, float]]:
         """Branch worldlines with their amplitude signs (+1 right, -1 left)."""
         return (self.right, +1.0), (self.left, -1.0)
-
-    def split_knots(self) -> list[float]:
-        """The excursion's ramp and hold boundaries, from t0 to t0 + 2*ramp + hold."""
-        return sorted(set(self.right.path.knots()))
 
 
 def make_branch_pair(
@@ -203,10 +184,9 @@ def make_branch_pair(
     """
     if L < 0.0:
         raise ValueError("L must be non-negative")
-    path = SplitPath(base, axis, L / 2.0, t0, ramp, hold)
     if window is None:
-        window = (t0 - ramp, path.t_end + ramp)
-    return BranchPair(label, Worldline(charge, window, path))
+        window = (t0 - ramp, t0 + 2.0 * ramp + hold + ramp)
+    return BranchPair(label, Worldline(charge, window, base, axis, L / 2.0, t0, ramp, hold))
 
 
 def causal_margin(probe: BranchPair, source: BranchPair) -> float:
@@ -221,7 +201,7 @@ def causal_margin(probe: BranchPair, source: BranchPair) -> float:
     window lies on or inside the past light cone of any event of the
     probe's split window: the source's branch distinction cannot reach it.
     """
-    p, s = probe.right.path, source.right.path
+    p, s = probe.right, source.right
     return math.dist(p.base, s.base) - (p.t_end - s.t0)
 
 

@@ -67,25 +67,21 @@ class ModeSet:
     to a function g(ts) returning complex amplitudes of shape
     (n_modes, len(ts)); absent keys couple to nothing.  The coupling of a
     joint branch label "PQ" is g_AP + g_BQ.  ``n_max`` is the Fock
-    truncation used by the exact route.
+    truncation used by the exact route.  A mode's frequency enters only
+    through its couplings, so the set keeps just the number of modes.
     """
 
-    omegas: np.ndarray
+    n_modes: int
     window: tuple[float, float]
+    n_max: int
     couplings: dict = dataclass_field(default_factory=dict)
-    n_max: int = 16
 
     def __post_init__(self):
-        object.__setattr__(self, "omegas", np.asarray(self.omegas, dtype=float))
-        if self.omegas.ndim != 1 or self.omegas.size == 0:
-            raise ValueError("omegas must be a non-empty 1D array")
+        if self.n_modes < 1:
+            raise ValueError(f"n_modes must be at least 1, got {self.n_modes}")
         bad = set(self.couplings) - {"AR", "AL", "BR", "BL"}
         if bad:
             raise ValueError(f"unknown coupling keys: {sorted(bad)}")
-
-    @property
-    def n_modes(self) -> int:
-        return self.omegas.size
 
     def joint_coupling(self, label: str, ts: np.ndarray) -> np.ndarray:
         """Coupling g(t) of joint branch label 'PQ', shape (n_modes, len(ts))."""
@@ -279,10 +275,10 @@ def random_mode_set(rng: np.random.Generator) -> ModeSet:
         return g
 
     return ModeSet(
-        omegas=omegas,
+        n_modes=omegas.size,
         window=(0.0, t1),
-        couplings={key: make_g(c) for key, c in coeffs.items()},
         n_max=30,
+        couplings={key: make_g(c) for key, c in coeffs.items()},
     )
 
 
@@ -316,11 +312,11 @@ def pair_mode_set(pair: BranchPair, spec: KernelSpec, n_k: int = 128, n_mu: int 
                 / (8.0 * math.pi ** 2))
     q = pair.charge
 
-    def make_g(path):
+    def make_g(branch):
         def g(ts: np.ndarray) -> np.ndarray:
             ts = np.asarray(ts, dtype=float)
-            a = path.displacement(ts)
-            da = path.displacement_rate(ts)
+            a = branch.displacement(ts)
+            da = branch.displacement_rate(ts)
             phase = np.exp(1j * (kk[:, None] * ts[None, :] - (kk * mm)[:, None] * a[None, :]))
             return (c * q)[:, None] * da[None, :] * phase
 
@@ -328,8 +324,8 @@ def pair_mode_set(pair: BranchPair, spec: KernelSpec, n_k: int = 128, n_mu: int 
 
     a0, b0 = pair.split_window
     return ModeSet(
-        omegas=kk,
+        n_modes=kk.size,
         window=(a0, b0),
-        couplings={"AR": make_g(pair.right.path), "AL": make_g(pair.left.path)},
         n_max=6,
+        couplings={"AR": make_g(pair.right), "AL": make_g(pair.left)},
     )

@@ -15,7 +15,7 @@ import pytest
 from conftest import draw_split, mixed_scenarios, mutual_scenario, one_way_scenario
 from qcl.functionals import (
     DecoherenceReport,
-    branch_pairing,
+    _branch_pairing_with_error,
     build_report,
     commutator_functional,
     gamma,
@@ -93,8 +93,8 @@ def test_criterion_1_spacelike_scenarios_carry_no_imprint_of_b():
                                 T_B=2.0 * ramp + hold_b)
             assert D > T
             assert scenario.spacelike
-            from_right = branch_pairing(pair_a, pair_b.right, spec)
-            from_left = branch_pairing(pair_a, pair_b.left, spec)
+            from_right = _branch_pairing_with_error(pair_a, pair_b.right, spec)[0]
+            from_left = _branch_pairing_with_error(pair_a, pair_b.left, spec)[0]
             assert from_right == 0.0
             assert from_left == 0.0
             phi_ab = from_right - from_left

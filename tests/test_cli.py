@@ -9,6 +9,7 @@ so the whole module stays fast.
 import csv
 import importlib.metadata
 import json
+import math
 import os
 import re
 import shutil
@@ -103,7 +104,7 @@ class TestParseConfig:
             scenario_from_config(parse_config(cfg))
 
     def test_excursion_end_is_summed_like_split_path(self):
-        # t0 + (2 ramp + hold) is 4.1, but SplitPath.t_end's order,
+        # t0 + (2 ramp + hold) is 4.1, but Worldline.t_end's order,
         # (t0 + 2 ramp) + hold, is 4.1000000000000005: past the window.
         cfg = base_config()
         cfg["particles"]["A"]["split"] = {"L": 0.2, "t0": 0.98, "ramp": 0.9, "hold": 1.32}
@@ -124,8 +125,14 @@ class TestParseConfig:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         section = readme.split("Config schema", 1)[1]
         block = section.split("```json\n", 1)[1].split("```", 1)[0]
-        scenario = scenario_from_config(parse_config(json.loads(block)))
-        assert scenario.background is not None
+        raw = json.loads(block)
+        assert scenario_from_config(parse_config(raw)).background is not None
+        # The example's background lies off both splits' mirror planes, so its charge shows.
+        phi_a = []
+        for charge in (0.5, 0.9):
+            raw["background"]["coulomb"]["charge"] = charge
+            phi_a.append(build_report(scenario_from_config(parse_config(raw))).phi_A)
+        assert phi_a[0] != phi_a[1]
 
     def test_bool_is_not_a_number(self):
         cfg = base_config()
@@ -266,6 +273,48 @@ class TestRunCommand:
         assert "input error: particles.B.split: peak speed" in result.stderr
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("ramp", 0.0),
+        ("hold", -0.1),
+    ])
+    def test_bad_split_shape_is_named_exits_1(self, runner, tmp_path, key, value):
+        cfg_dict = base_config()
+        cfg_dict["particles"]["B"]["split"][key] = value
+        cfg = write_config(tmp_path, cfg_dict)
+        result = runner.invoke(main, ["run", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert result.exit_code == 1
+        assert f"input error: particles.B.split: {key} must be" in result.stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("geometry.D", math.nan),
+        ("geometry.D", math.inf),
+        ("geometry.D", 10 ** 400),
+        ("kernel.quad_tol", math.inf),
+        ("kernel.sigma", math.inf),
+        ("times.T", math.inf),
+        ("particles.A.charge", math.nan),
+        ("particles.B.split.hold", -math.inf),
+        ("background.coulomb.charge", math.nan),
+        ("background.coulomb.position", [0.3, math.inf, 0.0]),
+    ], ids=["D-nan", "D-inf", "D-huge-int", "quad_tol-inf", "sigma-inf", "T-inf",
+            "charge-nan", "hold-minus-inf", "background-charge-nan", "background-position-inf"])
+    def test_non_finite_number_exits_1_and_writes_nothing(self, runner, tmp_path, key, value):
+        # json reads NaN, Infinity and integers past the float range.
+        cfg_dict = base_config()
+        cfg_dict["background"] = {"coulomb": {"charge": 0.5, "position": [0.3, 0.5, 0.0]}}
+        *parents, last = key.split(".")
+        node = cfg_dict
+        for part in parents:
+            node = node[part]
+        node[last] = value
+        cfg = write_config(tmp_path, cfg_dict)
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["run", str(cfg), "--out-dir", str(out)])
+        assert result.exit_code == 1
+        assert f"input error: {key}: expected a finite number" in result.stderr
+        assert not out.exists()
+
     def test_invalid_json_exits_1_and_writes_nothing(self, runner, tmp_path):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json", encoding="utf-8")
@@ -399,6 +448,16 @@ class TestSweepCommand:
                                       "--out-dir", str(tmp_path / "s")])
         assert result.exit_code == 1
         assert "--vary" in result.output
+
+    @pytest.mark.parametrize("vary", ["geometry.D=nan:1:2", "geometry.D=1:inf:2",
+                                      "geometry.D=-inf:1:1"])
+    def test_non_finite_grid_exits_1_and_writes_nothing(self, runner, tmp_path, vary):
+        cfg = write_config(tmp_path, base_config())
+        out = tmp_path / "s"
+        result = runner.invoke(main, ["sweep", str(cfg), "--vary", vary, "--out-dir", str(out)])
+        assert result.exit_code == 1
+        assert "input error: geometry.D: expected a finite number" in result.stderr
+        assert not out.exists()
 
     def test_vary_path_missing_from_config_exits_1(self, runner, tmp_path):
         cfg = write_config(tmp_path, base_config())

@@ -8,9 +8,9 @@ import pytest
 
 import qcl.functionals
 from qcl.functionals import (
+    _branch_pairing_with_error,
     _gamma_integrand,
     build_report,
-    branch_pairing,
     commutator_functional,
     gamma,
     gamma_momentum,
@@ -93,7 +93,7 @@ class TestGammaMirrorPath:
             us = np.concatenate([us, rng.uniform(a, b, 8000)])
             mirror = _gamma_integrand(pair, spec)(ts, us)
             general = oracles.gamma_four_term_integrand(pair, spec)(ts, us)
-            d_t, d_u = pair.right.path.displacement(ts), pair.right.path.displacement(us)
+            d_t, d_u = pair.right.displacement(ts), pair.right.displacement(us)
             seps = np.stack([np.abs(d_t - d_u), np.abs(d_t + d_u)])
             r_near = np.maximum(np.where(seps > 0.0, seps, np.inf).min(axis=0), 1e-7 * sigma)
             bound = 1e-14 * np.abs(general).max() + 16.0 * eps / (math.pi ** 2 * sigma * r_near)
@@ -250,8 +250,8 @@ class TestPairingPhases:
         # The probe only ever samples the source's branch-coincident
         # field, which is mirror symmetric across the probe's split
         # plane: each per-branch pairing integrand cancels node by node.
-        assert branch_pairing(s.pair_A, s.pair_B.right, s.kernel) == 0.0
-        assert branch_pairing(s.pair_A, s.pair_B.left, s.kernel) == 0.0
+        assert _branch_pairing_with_error(s.pair_A, s.pair_B.right, s.kernel)[0] == 0.0
+        assert _branch_pairing_with_error(s.pair_A, s.pair_B.left, s.kernel)[0] == 0.0
         assert phi_pairing(s.pair_A, s.pair_B, s.kernel) == 0.0
         assert phi_pairing(s.pair_B, s.pair_A, s.kernel) == 0.0
 
@@ -268,7 +268,7 @@ class TestPairingPhases:
 
 def _relaid(pair, base, axis, **split):
     """The split of ``pair`` (L, ramp, hold overridable) resting at base along axis."""
-    p = pair.right.path
+    p = pair.right
     kw = {"L": 2.0 * p.amplitude, "ramp": p.ramp, "hold": p.hold, **split}
     return make_branch_pair(pair.label, kw["L"], p.t0, kw["ramp"], kw["hold"],
                             charge=pair.charge, base=base, axis=axis, window=pair.window)
@@ -299,7 +299,7 @@ class TestOffAxisNoSignalling:
     def test_spacelike_rho_A_ignores_B_split_choices(self, rng):
         s = _off_axis(spacelike_scenario(rng))
         want = rho_A(build_report(s)).matrix
-        p = s.pair_B.right.path
+        p = s.pair_B.right
         for split in ({"L": p.amplitude}, {"ramp": 0.8 * p.ramp}, {"hold": 0.5 * p.hold}):
             pair_b = _relaid(s.pair_B, p.base, p.axis, **split)
             varied = dataclasses.replace(s, pair_B=pair_b)

@@ -1,6 +1,4 @@
-"""Worldline geometry: split paths, the branch checks, the mirror pair, causal margins."""
-
-from types import SimpleNamespace
+"""Worldline geometry: split branches, the branch checks, the mirror pair, causal margins."""
 
 import numpy as np
 import pytest
@@ -9,7 +7,6 @@ from hypothesis import strategies as st
 
 from qcl.geometry import (
     BranchPair,
-    SplitPath,
     Worldline,
     causal_margin,
     make_branch_pair,
@@ -75,34 +72,42 @@ class TestWorldline:
     """Every branch check lives in Worldline itself."""
 
     def test_superluminal_path_rejected(self):
-        fast = SplitPath((0, 0, 0), (0, 1, 0), 0.6, 0.5, 0.3, 0.5)
         with pytest.raises(ValueError, match="not below 1"):
-            Worldline(1.0, (0.0, 2.5), fast)
+            Worldline(1.0, (0.0, 2.5), (0, 0, 0), (0, 1, 0), 0.6, 0.5, 0.3, 0.5)
 
     @pytest.mark.parametrize("amplitude", [0.8, -0.8])
     def test_light_speed_peak_rejected(self, amplitude):
         # 15 * 0.8 / (8 * 1.5) is exactly 1: the bound is strict.
-        path = SplitPath((0, 0, 0), (0, 1, 0), amplitude, 0.5, 1.5, 0.5)
         with pytest.raises(ValueError, match="not below 1"):
-            Worldline(1.0, (0.0, 5.0), path)
+            Worldline(1.0, (0.0, 5.0), (0, 0, 0), (0, 1, 0), amplitude, 0.5, 1.5, 0.5)
 
     def test_excursion_outside_window_rejected(self):
-        path = SplitPath((0, 0, 0), (0, 1, 0), 0.25, 0.4, 0.6, 0.8)
         for window in ((0.0, 2.0), (0.5, 4.0)):
             with pytest.raises(ValueError, match="whole excursion"):
-                Worldline(1.0, window, path)
+                Worldline(1.0, window, (0, 0, 0), (0, 1, 0), 0.25, 0.4, 0.6, 0.8)
 
     def test_window_shorter_than_excursion_rejected(self):
         # The excursion [0.2, 1.5] starts with the window but outlasts it.
-        path = SplitPath((0, 0, 0), (0, 1, 0), 0.4, 0.2, 0.5, 0.3)
         with pytest.raises(ValueError, match="whole excursion"):
-            Worldline(charge=1.0, window=(0.2, 0.9), path=path)
+            Worldline(charge=1.0, window=(0.2, 0.9), base=(0, 0, 0), axis=(0, 1, 0),
+                      amplitude=0.4, t0=0.2, ramp=0.5, hold=0.3)
 
-    def test_non_split_path_rejected(self):
-        # A look-alike with every SplitPath attribute is still not a branch.
-        path = SimpleNamespace(**vars(SplitPath((0, 0, 0), (0, 1, 0), 0.25, 0.4, 0.6, 0.8)))
-        with pytest.raises(TypeError, match="SplitPath"):
-            Worldline(1.0, (0.0, 3.0), path)
+    @pytest.mark.parametrize("ramp", [0.0, -0.5])
+    def test_non_positive_ramp_rejected(self, ramp):
+        with pytest.raises(ValueError, match="ramp must be positive"):
+            Worldline(1.0, (-1.0, 5.0), (0, 0, 0), (0, 1, 0), 0.25, 0.4, ramp, 0.8)
+
+    def test_negative_hold_rejected(self):
+        with pytest.raises(ValueError, match="hold must be non-negative"):
+            Worldline(1.0, (0.0, 5.0), (0, 0, 0), (0, 1, 0), 0.25, 0.4, 0.6, -0.1)
+
+    def test_zero_axis_rejected(self):
+        with pytest.raises(ValueError, match="axis must be a nonzero vector"):
+            Worldline(1.0, (0.0, 5.0), (0, 0, 0), (0.0, 0.0, 0.0), 0.25, 0.4, 0.6, 0.8)
+
+    def test_axis_is_normalised(self):
+        w = Worldline(1.0, (0.0, 5.0), (0, 0, 0), (0, 3, 4), 0.25, 0.4, 0.6, 0.8)
+        assert np.array_equal(w.axis, [0.0, 0.6, 0.8])
 
 
 class TestBranchPair:
@@ -115,11 +120,10 @@ class TestBranchPair:
         pair = make_branch_pair("A", 0.7, 0.6, 0.9, 1.1, charge=1.3, base=base, axis=axis,
                                 window=(0.2, 4.3))
         # Built independently from the same raw axis, normalised once.
-        want = Worldline(1.3, (0.2, 4.3), SplitPath(base, axis, -0.7 / 2.0, 0.6, 0.9, 1.1))
+        want = Worldline(1.3, (0.2, 4.3), base, axis, -0.7 / 2.0, 0.6, 0.9, 1.1)
         ts = np.linspace(-1.0, 5.5, 1301)  # past both ends of the window
-        for f in ("position", "velocity"):
+        for f in ("position", "velocity", "offset"):
             assert np.array_equal(getattr(pair.left, f)(ts), getattr(want, f)(ts)), f
-        assert np.array_equal(pair.left.path.offset(ts), want.path.offset(ts))
         assert (pair.left.charge, pair.left.window) == (want.charge, want.window)
 
     def test_split_window_is_the_excursion(self):
@@ -140,10 +144,11 @@ class TestBranchPair:
 
     def test_left_keeps_the_right_axis_bits(self):
         # Normalising (0.3, 1, -0.4) a second time moves its last bits, so
-        # a left branch built as a new SplitPath would not be an exact mirror.
+        # a left branch built as a new Worldline would not be an exact mirror.
         pair = make_branch_pair("A", 0.7, 0.6, 0.9, 1.1, axis=(0.3, 1.0, -0.4))
-        r, l = pair.right.path, pair.left.path
-        renormalised = SplitPath(r.base, r.axis, -r.amplitude, r.t0, r.ramp, r.hold)
+        r, l = pair.right, pair.left
+        renormalised = Worldline(r.charge, r.window, r.base, r.axis, -r.amplitude,
+                                 r.t0, r.ramp, r.hold)
         assert not np.array_equal(renormalised.axis, r.axis)
         assert l is not r
         assert np.array_equal(l.axis, r.axis) and np.array_equal(l.base, r.base)
@@ -161,15 +166,15 @@ class TestBranchPair:
         pair = make_branch_pair("A", 0.7, 0.6, 0.9, 1.1, charge=-1.3, axis=(-0.6, 0.8, 0.3))
         again = BranchPair(pair.label, pair.right)
         ts = np.linspace(0.0, 4.0, 401)
-        for f in ("position", "velocity"):
+        for f in ("position", "velocity", "offset"):
             assert np.array_equal(getattr(again.left, f)(ts), getattr(pair.left, f)(ts)), f
-        assert np.array_equal(again.left.path.offset(ts), pair.left.path.offset(ts))
         assert again.split_window == pair.split_window
         assert again.left.charge == pair.right.charge == -1.3
 
     def test_excursion_filling_the_window_accepted(self):
-        path = SplitPath((0, 0, 0), (0, 1, 0), 0.25, 0.4, 0.6, 0.8)
-        pair = BranchPair("A", Worldline(1.0, (0.4, path.t_end), path))
+        t_end = 0.4 + 2 * 0.6 + 0.8
+        pair = BranchPair("A", Worldline(1.0, (0.4, t_end), (0, 0, 0), (0, 1, 0),
+                                         0.25, 0.4, 0.6, 0.8))
         assert pair.split_window == pair.window == (0.4, 0.4 + 2 * 0.6 + 0.8)
 
     def test_static_degenerate_pair_is_clean(self):

@@ -40,23 +40,24 @@ def single_mode_set(n_max):
     # exactly 1 and the overlap magnitude is exactly exp(-1).
     c = math.sqrt(2.0) / 2.0
     return ModeSet(
-        omegas=[1.3],
+        n_modes=1,
         window=(0.0, 2.0),
-        couplings={"AR": constant_coupling(c)},
         n_max=n_max,
+        couplings={"AR": constant_coupling(c)},
     )
 
 
 class TestModeSetValidation:
-    def test_empty_omegas_rejected(self):
-        with pytest.raises(ValueError, match="omegas"):
-            ModeSet(omegas=[], window=(0.0, 1.0), couplings={})
+    def test_no_modes_rejected(self):
+        with pytest.raises(ValueError, match="n_modes must be at least 1"):
+            ModeSet(n_modes=0, window=(0.0, 1.0), n_max=16, couplings={})
 
     def test_unknown_coupling_key_rejected(self):
         with pytest.raises(ValueError, match="unknown coupling keys"):
             ModeSet(
-                omegas=[1.0],
+                n_modes=1,
                 window=(0.0, 1.0),
+                n_max=16,
                 couplings={"XR": constant_coupling(0.1)},
             )
 
@@ -67,8 +68,9 @@ class TestModeSetValidation:
 
     def test_joint_coupling_sums_both_particles(self):
         modes = ModeSet(
-            omegas=[1.0],
+            n_modes=1,
             window=(0.0, 1.0),
+            n_max=16,
             couplings={
                 "AR": constant_coupling(0.25),
                 "BL": constant_coupling(1.0j),
@@ -157,10 +159,10 @@ class TestJointBound:
     def test_identical_branch_couplings_saturate_alpha(self):
         c = constant_coupling(math.sqrt(2.0) / 2.0)
         modes = ModeSet(
-            omegas=[1.3],
+            n_modes=1,
             window=(0.0, 2.0),
-            couplings={"AR": c, "AL": c},
             n_max=16,
+            couplings={"AR": c, "AL": c},
         )
         res = joint_overlap_and_bound(modes)
         assert res.alpha == pytest.approx(1.0, abs=1e-9)
