@@ -384,10 +384,13 @@ def _parse_vary(vary: str) -> tuple[str, np.ndarray]:
     except ValueError:
         raise ConfigError(f"--vary: could not parse grid {rhs!r}") from None
     key = key.strip()
-    start, stop = _finite(start, key), _finite(stop, key)
     if steps < 1:
         raise ConfigError("--vary: steps must be at least 1")
-    grid = np.linspace(start, stop, steps) if steps > 1 else np.array([start])
+    # Finite endpoints can still overflow: linspace(-1e308, 1e308, 3) is [nan, inf, 1e308].
+    with np.errstate(all="ignore"):
+        grid = np.linspace(start, stop, steps) if steps > 1 else np.array([start])
+    for value in grid:
+        _finite(value, key)
     return key, grid
 
 

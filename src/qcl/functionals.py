@@ -122,7 +122,7 @@ def _compute_gamma(pair: BranchPair, spec: KernelSpec) -> tuple[float, float]:
     val, err = adaptive_2d(
         _gamma_integrand(pair, spec), (a, b), (a, b),
         tol=spec.quad_tol, knots_x=knots, knots_y=knots,
-        name=f"gamma[{pair.label}]",
+        name=f"gamma[{pair.label}]", symmetric=True,
     )
     q = pair.charge
     val *= 0.25 * q * q

@@ -85,21 +85,34 @@ def hadamard_dt_r(dt, r, spec: KernelSpec):
 
         (1 / (4 pi^2 sigma r)) * [F((r + dt) / 2 sigma) + F((r - dt) / 2 sigma)]
 
-    with the r -> 0 limit (1 - 2 u F(u)) / (4 pi^2 sigma^2), u = dt / 2 sigma.
-    Coincidence value 1 / (4 pi^2 sigma^2).  Even in dt, positive at the
-    origin, and falling like 1 / (r^2 - dt^2) far from the light cone.
+    Its terms cancel as r -> 0 (a loss of about eps * sigma / r), so below
+    r = 0.01 sigma it is the series in h = r / 2 sigma about u = dt / 2 sigma
+
+        [F' + h^2 F''' / 6 + h^4 F^(5) / 120 + h^6 F^(7) / 5040](u) / (4 pi^2 sigma^2)
+
+    with F' = 1 - 2 u F, F^(k+1) = -2 u F^(k) - 2 k F^(k-1); at r = 0 it is the
+    limit (1 - 2 u F) / (4 pi^2 sigma^2).  Coincidence value 1 / (4 pi^2 sigma^2).
+    Even in dt (bitwise), positive at the origin, and falling like
+    1 / (r^2 - dt^2) far from the light cone.
     """
     s = spec.sigma
-    dt = np.asarray(dt, dtype=float)
-    r = np.asarray(r, dtype=float)
-    dt, r = np.broadcast_arrays(dt, r)
-    small = r < 1e-7 * s
-    out = np.asarray((dawsn((r + dt) / (2.0 * s)) + dawsn((r - dt) / (2.0 * s))) / (
-        2.0 * _TWO_PI_SQ * s * np.where(small, 1.0, r)
-    ))
-    if small.any():  # the r -> 0 limit, evaluated only where it is used
-        u = dt[small] / (2.0 * s)
-        out[small] = (1.0 - 2.0 * u * dawsn(u)) / (2.0 * _TWO_PI_SQ * s * s)
+    dt, r = np.broadcast_arrays(np.asarray(dt, dtype=float), np.asarray(r, dtype=float))
+    near = r < 1e-2 * s
+    far = ~near
+    out = np.empty(dt.shape)
+    a, b = dt[far], r[far]  # each form is evaluated only where it is used
+    out[far] = (dawsn((b + a) / (2.0 * s)) + dawsn((b - a) / (2.0 * s))) / (
+        2.0 * _TWO_PI_SQ * s * b)
+    if near.any():
+        u = dt[near] / (2.0 * s)
+        h2 = (r[near] / (2.0 * s)) ** 2
+        m = -2.0 * u
+        f0 = dawsn(u)
+        d = [f0, 1.0 + m * f0]
+        for k in range(1, 7):
+            d.append(m * d[k] - (2.0 * k) * d[k - 1])
+        series = d[1] + h2 * (d[3] / 6.0 + h2 * (d[5] / 120.0 + h2 * (d[7] / 5040.0)))
+        out[near] = series / (2.0 * _TWO_PI_SQ * s * s)
     return out if out.ndim else float(out)
 
 

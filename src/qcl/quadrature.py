@@ -23,6 +23,11 @@ panel values.  Until then each round bisects, along every axis, the
 worst panels: a quarter (at least one) of those whose error exceeds the
 target divided by the panel count.  Reaching ``max_panels`` first
 raises :class:`NumericFailure` carrying the tolerance actually achieved.
+
+``symmetric=True`` folds a 2D f(x, y) = f(y, x), on a square with the
+same edges on both axes, onto the panels on or below the diagonal.  A
+diagonal square counts once and any other panel twice (value and error);
+a split diagonal square drops its child above the diagonal.
 """
 from __future__ import annotations
 
@@ -92,7 +97,7 @@ def _axis_edges(a: float, b: float, knots) -> np.ndarray:
     return np.asarray(edges, dtype=float)
 
 
-def _adaptive(f, ranges, knots, rules, tol: float, max_panels: int, name: str):
+def _adaptive(f, ranges, knots, rules, tol: float, max_panels: int, name: str, symmetric=False):
     """Tensor-product panel engine behind :func:`adaptive_1d` and :func:`adaptive_2d`.
 
     Panels are boxes stored as (n, d) arrays of lower and upper corners.
@@ -104,6 +109,8 @@ def _adaptive(f, ranges, knots, rules, tol: float, max_panels: int, name: str):
         return 0.0, 0.0
     dim = len(ranges)
     edges = [_axis_edges(a, b, k) for (a, b), k in zip(ranges, knots)]
+    if symmetric and not np.array_equal(edges[0], edges[1]):
+        raise ValueError(f"{name}: symmetric mode needs the same range and knots on both axes")
     lo = np.stack(np.meshgrid(*[e[:-1] for e in edges], indexing="ij"), axis=-1).reshape(-1, dim)
     hi = np.stack(np.meshgrid(*[e[1:] for e in edges], indexing="ij"), axis=-1).reshape(-1, dim)
     (nodes_lo, w_lo), (nodes_hi, w_hi) = rules
@@ -111,7 +118,16 @@ def _adaptive(f, ranges, knots, rules, tol: float, max_panels: int, name: str):
     # of c is set, so axis 0 varies fastest among the 2^d children.
     upper = [np.array([(c >> k) & 1 for k in range(dim)], dtype=bool) for c in range(2 ** dim)]
 
-    def eval_panels(plo: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def fold(plo: np.ndarray, phi: np.ndarray):
+        # Weight 1 on the diagonal (equal lower corners, bitwise), 2 below
+        # it and 0, dropped, above it: every other panel lies wholly on one side.
+        if not symmetric:
+            return plo, phi, np.ones(plo.shape[0])
+        weight = 1.0 + np.sign(plo[:, 0] - plo[:, 1])
+        keep = weight > 0.0
+        return plo[keep], phi[keep], weight[keep]
+
+    def eval_panels(plo: np.ndarray, phi: np.ndarray, weight: np.ndarray):
         mid = 0.5 * (plo + phi)
         half = 0.5 * (phi - plo)
         pts = [mid[:, None, :] + half[:, None, :] * nodes[None] for nodes in (nodes_lo, nodes_hi)]
@@ -121,9 +137,10 @@ def _adaptive(f, ranges, knots, rules, tol: float, max_panels: int, name: str):
         volume = np.prod(half, axis=1)
         i_lo = volume * (vals[:n_lo].reshape(-1, w_lo.size) @ w_lo)
         i_hi = volume * (vals[n_lo:].reshape(-1, w_hi.size) @ w_hi)
-        return i_hi, np.abs(i_hi - i_lo)
+        return weight * i_hi, weight * np.abs(i_hi - i_lo)
 
-    vals, errs = eval_panels(lo, hi)
+    lo, hi, wt = fold(lo, hi)
+    vals, errs = eval_panels(lo, hi, wt)
     while True:
         total = float(vals.sum())
         l1 = float(np.abs(vals).sum())
@@ -142,9 +159,9 @@ def _adaptive(f, ranges, knots, rules, tol: float, max_panels: int, name: str):
         keep[worst] = False
         wlo, whi = lo[worst], hi[worst]
         mid = 0.5 * (wlo + whi)
-        new_lo = np.concatenate([np.where(u, mid, wlo) for u in upper])
-        new_hi = np.concatenate([np.where(u, whi, mid) for u in upper])
-        new_vals, new_errs = eval_panels(new_lo, new_hi)
+        new_lo, new_hi, new_wt = fold(np.concatenate([np.where(u, mid, wlo) for u in upper]),
+                                      np.concatenate([np.where(u, whi, mid) for u in upper]))
+        new_vals, new_errs = eval_panels(new_lo, new_hi, new_wt)
         lo = np.concatenate([lo[keep], new_lo])
         hi = np.concatenate([hi[keep], new_hi])
         vals = np.concatenate([vals[keep], new_vals])
@@ -183,6 +200,7 @@ def adaptive_2d(
     knots_y=None,
     max_panels: int = 60000,
     name: str = "integral",
+    symmetric: bool = False,
 ) -> tuple[float, float]:
     """Integrate a vectorized function f(x, y) over a rectangle.
 
@@ -191,6 +209,9 @@ def adaptive_2d(
     rectangles; each is measured with 4x4 and 8x8 Gauss-Legendre tensor
     rules and split into four when its embedded error dominates.  The
     convergence target follows the same rule as :func:`adaptive_1d`.
-    Returns (value, error_estimate).
+    ``symmetric=True`` evaluates only the panels on or below the diagonal
+    of an f(x, y) = f(y, x) (module docstring); it raises ValueError unless
+    both axes have the same range and knots.  Returns (value, error_estimate).
     """
-    return _adaptive(f, [x_range, y_range], [knots_x, knots_y], _RULES_2D, tol, max_panels, name)
+    return _adaptive(f, [x_range, y_range], [knots_x, knots_y], _RULES_2D, tol, max_panels, name,
+                     symmetric)

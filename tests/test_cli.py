@@ -449,8 +449,9 @@ class TestSweepCommand:
         assert result.exit_code == 1
         assert "--vary" in result.output
 
+    # The last grid has finite endpoints, but linspace makes it [nan, inf, 1e308].
     @pytest.mark.parametrize("vary", ["geometry.D=nan:1:2", "geometry.D=1:inf:2",
-                                      "geometry.D=-inf:1:1"])
+                                      "geometry.D=-inf:1:1", "geometry.D=-1e308:1e308:3"])
     def test_non_finite_grid_exits_1_and_writes_nothing(self, runner, tmp_path, vary):
         cfg = write_config(tmp_path, base_config())
         out = tmp_path / "s"

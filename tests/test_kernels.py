@@ -63,18 +63,39 @@ class TestHadamardKernel:
         assert ratio == 2.0000040000240007e-06
 
     def test_small_r_branch_is_seamless(self, spec):
-        # Just above the handoff radius the direct form cancels about
-        # seven digits between the two dawsn terms, so the seam is only
-        # clean to ~1e-7 relative; the limit branch is the accurate side
-        # (its agreement with the momentum integral is checked above).
+        # Both radii lie below the 0.01 sigma hand-off, so both take the
+        # series (checked against mpmath below) and agree far inside 1e-7.
         thr = 1e-7 * SIGMA
         for dt in (0.0, 0.35):
             below = hadamard_dt_r(dt, 0.99 * thr, spec)
             above = hadamard_dt_r(dt, 1.01 * thr, spec)
             assert below == pytest.approx(above, rel=1e-7)
 
+    def test_near_coincidence_matches_mpmath(self, spec):
+        # Below r = 0.01 sigma the kernel is the short series in r / 2 sigma;
+        # the direct Dawson form would be off there by up to 1.4e-9 of the
+        # coincidence value.  The reference is the direct form at 40 digits.
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        s = mp.mpf(SIGMA)
+
+        def dawson(x):
+            return mp.sqrt(mp.pi) / 2 * mp.exp(-x * x) * mp.erfi(x)
+
+        coincidence = 1.0 / (4.0 * math.pi**2 * SIGMA**2)
+        dts = 2.0 * SIGMA * np.linspace(0.0, 30.0, 31)
+        rs = SIGMA * np.geomspace(1e-7, 1e-2, 11)
+        got = hadamard_dt_r(dts[:, None], rs[None, :], spec)
+        for i, dt in enumerate(dts):
+            for j, r in enumerate(rs):
+                a, b = mp.mpf(float(dt)), mp.mpf(float(r))
+                want = (dawson((b + a) / (2 * s)) + dawson((b - a) / (2 * s))) / (
+                    4 * mp.pi**2 * s * b)
+                assert abs(got[i, j] - float(want)) <= 1e-14 * coincidence
+
     def test_array_equals_scalar_calls_bitwise(self, spec):
-        # The r -> 0 limit is evaluated only where r < 1e-7 sigma; on an
+        # The series is evaluated only where r < 0.01 sigma; on an
         # array mixing both branches every element must still be exactly
         # what a scalar call returns, and a scalar call returns a float.
         rng = np.random.default_rng(31)

@@ -105,3 +105,49 @@ class TestAdaptive2D:
         with pytest.raises(NumericFailure) as exc:
             adaptive_2d(f, (0.0, 1.0), (0.0, 1.0), tol=1e-12, max_panels=64)
         assert exc.value.achieved > exc.value.requested
+
+
+class TestAdaptive2DSymmetric:
+    # A symmetric f(x, y) = f(y, x) on a square integrated over the panels
+    # on or below the diagonal, the others counted through their mirrors.
+
+    @staticmethod
+    def counted(f):
+        calls = {"points": 0}
+
+        def g(x, y):
+            calls["points"] += x.size
+            return f(x, y)
+        return g, calls
+
+    def test_diagonal_ridge_matches_full_square(self):
+        w = 0.02
+        f = lambda x, y: np.exp(-0.5 * ((x - y) / w) ** 2)
+        exact = 2.0 * (
+            w * math.sqrt(math.pi / 2.0) * erf(1.0 / (w * math.sqrt(2.0)))
+            - w**2 * (1.0 - math.exp(-0.5 / w**2))
+        )
+        full, full_calls = self.counted(f)
+        half, half_calls = self.counted(f)
+        val_full, _ = adaptive_2d(full, (0.0, 1.0), (0.0, 1.0), tol=1e-9)
+        val_half, err_half = adaptive_2d(half, (0.0, 1.0), (0.0, 1.0), tol=1e-9, symmetric=True)
+        assert val_full == pytest.approx(exact, rel=1e-8)
+        assert val_half == pytest.approx(exact, rel=1e-8)
+        assert abs(val_half - exact) <= err_half
+        assert half_calls["points"] <= 0.56 * full_calls["points"]
+
+    def test_kink_on_both_axes_is_exact(self):
+        f = lambda x, y: np.abs(x - 0.5) * np.abs(y - 0.5)
+        val, err = adaptive_2d(f, (0.0, 1.0), (0.0, 1.0), knots_x=[0.5], knots_y=[0.5],
+                               symmetric=True)
+        assert val == pytest.approx(0.0625, abs=1e-14)
+        assert err < 1e-14
+
+    def test_unequal_ranges_raise(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            adaptive_2d(lambda x, y: x * y, (0.0, 1.0), (0.0, 2.0), symmetric=True)
+
+    def test_unequal_knots_raise(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            adaptive_2d(lambda x, y: x * y, (0.0, 1.0), (0.0, 1.0), knots_x=[0.3],
+                        symmetric=True)
