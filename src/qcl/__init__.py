@@ -22,7 +22,6 @@ from .kernels import (
     SingularityError,
     coulomb_background,
     hadamard_dt_r,
-    pure_gauge_background,
 )
 from .quadrature import NumericFailure, adaptive_1d, adaptive_2d
 from .functionals import (
@@ -46,7 +45,6 @@ from .inequalities import (
     AuditResult,
     audit_report,
     complementarity_residual,
-    f_gradient,
     f_grid,
     f_xy,
     implication_audit,
@@ -74,7 +72,6 @@ __all__ = [
     "SingularityError",
     "coulomb_background",
     "hadamard_dt_r",
-    "pure_gauge_background",
     "NumericFailure",
     "adaptive_1d",
     "adaptive_2d",
@@ -94,7 +91,6 @@ __all__ = [
     "AuditResult",
     "audit_report",
     "complementarity_residual",
-    "f_gradient",
     "f_grid",
     "f_xy",
     "implication_audit",

@@ -40,7 +40,7 @@ from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
-from .geometry import BranchPair, Scenario, Worldline, _mutually_spacelike, causal_margin
+from .geometry import BranchPair, Scenario, Worldline, _mirrored, _mutually_spacelike, causal_margin
 from .kernels import KernelSpec, _lw_batch, hadamard_dt_r
 from .quadrature import NumericFailure, adaptive_1d, adaptive_2d, panel_gauss_nodes
 
@@ -249,29 +249,36 @@ def phi_self(pair: BranchPair, spec: KernelSpec, background=None) -> float:
 # Pairing phases between two particles (bare retarded potentials).
 
 
+def _probe_integral(probe: BranchPair, potential, spec: KernelSpec, name: str) -> tuple[float, float]:
+    """The integral of :func:`_probe_phase` before its factor q_probe, with its error."""
+    a, b = probe.split_window
+    branches = probe.branches()
+
+    def integrand(ts: np.ndarray) -> np.ndarray:
+        ev = np.concatenate([np.concatenate([ts[:, None], wp.position(ts)], axis=1)
+                             for wp, _ in branches])
+        A = potential(ev).reshape(2, ts.size, 4)
+        total = np.zeros_like(ts)
+        for (wp, sp), Ap in zip(branches, A):
+            total += sp * (Ap[:, 0] - np.sum(wp.velocity(ts) * Ap[:, 1:], axis=-1))
+        return total
+
+    return adaptive_1d(integrand, a, b, tol=spec.quad_tol, knots=probe.right.knots(), name=name)
+
+
 def _probe_phase(probe: BranchPair, potential, spec: KernelSpec, name: str) -> tuple[float, float]:
     """Phase of the probe's branch difference in a four-potential, with its error.
 
     q_probe int dt sum_P s_P [A^0(t, X_P(t)) - v_P(t) . A_vec(t, X_P(t))]
     over the probe's split window, where ``potential`` maps events of
-    shape (N, 4) to A^mu of shape (N, 4).  The error estimate scales with
-    |q_probe|, so it stays non-negative for either sign of charge.
+    shape (N, 4) to A^mu of shape (N, 4), acting on each event alone.
+    There is one potential call per integrand evaluation, on both
+    branches' events stacked, with the right branch's term summed first:
+    the value is bitwise that of one call per branch.  The error estimate
+    scales with |q_probe|, so it stays non-negative for either sign of
+    charge.
     """
-    a, b = probe.split_window
-
-    def integrand(ts: np.ndarray) -> np.ndarray:
-        total = np.zeros_like(ts)
-        for wp, sp in probe.branches():
-            xp = wp.position(ts)
-            vp = wp.velocity(ts)
-            ev = np.concatenate([ts[:, None], xp], axis=1)
-            A = potential(ev)
-            total += sp * (A[:, 0] - np.sum(vp * A[:, 1:], axis=-1))
-        return total
-
-    val, err = adaptive_1d(
-        integrand, a, b, tol=spec.quad_tol, knots=probe.right.knots(), name=name,
-    )
+    val, err = _probe_integral(probe, potential, spec, name)
     q = probe.charge
     return q * val, abs(q) * err
 
@@ -283,6 +290,30 @@ def _branch_pairing_with_error(
     return _probe_phase(
         probe, lambda ev: _lw_batch(ev, source), spec, f"pairing[{probe.label}]",
     )
+
+
+def _pairings_with_error(
+    probe: BranchPair, source: BranchPair, spec: KernelSpec
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The probe's pairings with the source's right and left branches, each with its error.
+
+    In a mirror layout (:func:`geometry._mirrored`) the left-branch
+    integral is 0.0 minus the right-branch one, bitwise, and where the
+    causal margin is also positive both integrals are exactly +0.0: the
+    source rests at its base at every crossing, bitwise equidistant from
+    the two probe branches.  Any other layout integrates both branches.
+    """
+    if not _mirrored(probe, source):
+        return (_branch_pairing_with_error(probe, source.right, spec),
+                _branch_pairing_with_error(probe, source.left, spec))
+    if causal_margin(probe, source) > 0.0:
+        val, err = 0.0, 0.0
+    else:
+        val, err = _probe_integral(probe, lambda ev: _lw_batch(ev, source.right), spec,
+                                   f"pairing[{probe.label}]")
+    q = probe.charge
+    # 0.0 - val, not -val: a zero integral is +0.0 for both source branches.
+    return (q * val, abs(q) * err), (q * (0.0 - val), abs(q) * err)
 
 
 def phi_pairing(probe: BranchPair, source: BranchPair, spec: KernelSpec) -> float:
@@ -379,18 +410,27 @@ def build_report(scenario: Scenario) -> DecoherenceReport:
     phi_AB = phi_A_BR - phi_A_BL, so the report is internally consistent
     by construction.  Where the source's split window cannot reach the
     probe's, every crossing finds the source at rest with the closed-form
-    time both branches share (the rest-point certificate), so the branch
-    integrands agree bitwise in any layout and the difference is exactly zero.
+    time both branches share (the rest-point certificate), so the probe's
+    difference integrand cancels node by node in any layout and phi_AB is
+    exactly zero.
+
+    The per-branch pairings take fewer integrals in a mirror layout: both
+    pairs split along the same axis, bitwise, and both bases are exactly
+    0.0 in every coordinate where that axis is nonzero (the layout ``qcl
+    run`` and ``qcl sweep`` build).  There the left-branch pairing is 0.0
+    minus the right-branch one, so each direction takes one integral, and
+    a direction with a positive causal margin takes none: both of its
+    pairings are exactly q * 0.0.  Every field is bitwise what the four
+    integrals give.  Any other layout, tilted axes or a shared offset
+    included, runs all four.
     """
     spec: KernelSpec = scenario.kernel
     ga, ega = _gamma_with_error(scenario.pair_A, spec)
     gb, egb = _gamma_with_error(scenario.pair_B, spec)
     pa, epa = _phi_self_with_error(scenario.pair_A, spec, scenario.background)
     pb, epb = _phi_self_with_error(scenario.pair_B, spec, scenario.background)
-    p_abr, e1 = _branch_pairing_with_error(scenario.pair_A, scenario.pair_B.right, spec)
-    p_abl, e2 = _branch_pairing_with_error(scenario.pair_A, scenario.pair_B.left, spec)
-    p_bar, e3 = _branch_pairing_with_error(scenario.pair_B, scenario.pair_A.right, spec)
-    p_bal, e4 = _branch_pairing_with_error(scenario.pair_B, scenario.pair_A.left, spec)
+    (p_abr, e1), (p_abl, e2) = _pairings_with_error(scenario.pair_A, scenario.pair_B, spec)
+    (p_bar, e3), (p_bal, e4) = _pairings_with_error(scenario.pair_B, scenario.pair_A, spec)
     return DecoherenceReport(
         gamma_A=ga,
         gamma_B=gb,

@@ -205,6 +205,22 @@ def causal_margin(probe: BranchPair, source: BranchPair) -> float:
     return math.dist(p.base, s.base) - (p.t_end - s.t0)
 
 
+def _mirrored(a: BranchPair, b: BranchPair) -> bool:
+    """True when negating the split-axis coordinates maps each pair's right branch onto its left.
+
+    Both right branches have bitwise-equal axes, and both bases are exactly
+    0.0 in every coordinate where that axis is nonzero.  Then a probe's
+    pairing integral against the source's left branch is bitwise 0.0
+    minus the one against its right branch.  A zero dot product
+    (base_b - base_a) . axis is not enough: bases (0, 0.7, 0) and
+    (1.4, 0.7, 0) split along y give pairings that differ in their last bits.
+    """
+    axis = a.right.axis
+    moved = axis != 0.0
+    return (axis.tobytes() == b.right.axis.tobytes()
+            and bool(np.all(a.right.base[moved] == 0.0) and np.all(b.right.base[moved] == 0.0)))
+
+
 def _mutually_spacelike(a: BranchPair, b: BranchPair) -> bool:
     """True when neither pair's split window can reach the other's: both margins are positive."""
     return causal_margin(a, b) > 0.0 and causal_margin(b, a) > 0.0

@@ -5,7 +5,13 @@ Three layers of consistency checks tie the functionals together:
 * complementarity: V^2 + D^2 <= 1 for the visibility/distinguishability
   pair of any physical scenario;
 * a Robertson-type bound between the two dephasing exponents and the
-  one-way pairing phase: Gamma_A Gamma_B >= phi_BA^2 / 16;
+  one-way pairing phase: Gamma_A Gamma_B >= phi_BA^2 / 16.  Robertson's
+  theorem for the smeared field operators of the two currents gives
+  Gamma_A Gamma_B >= (phi_BA - phi_AB)^2 / 16, with their commutator
+  phi_BA - phi_AB.  The phi_BA form audited here is the one the
+  implication below needs; it is the theorem only where phi_AB = 0.0,
+  as in spacelike and one-way layouts.  ``robertson_residual``
+  evaluates either form, given phi_BA or phi_BA - phi_AB;
 * the scalar implication function
 
       f(X, Y) = 1 - X - Y sin^2(sqrt(ln X ln Y)),   X, Y in (0, 1],
@@ -30,7 +36,6 @@ __all__ = [
     "complementarity_residual",
     "robertson_residual",
     "f_xy",
-    "f_gradient",
     "f_grid",
     "implication_audit",
     "AuditResult",
@@ -51,9 +56,13 @@ def complementarity_residual(V, D):
 def robertson_residual(gamma_A, gamma_B, phi_BA):
     """Gamma_A Gamma_B - phi_BA^2 / 16, non-negative when the bound holds.
 
-    The phase that enters is the one-way pairing phase.  Example with the
-    bound saturated up to a wide margin: gamma_A = gamma_B = 1,
-    phi_BA = 4 gives residual 0.
+    With the one-way pairing phase phi_BA this is the form the
+    implication audit uses.  With the commutator phi_BA - phi_AB in its
+    place it is Robertson's inequality for the two smeared field
+    operators; the two forms agree where phi_AB = 0.0 (spacelike and
+    one-way layouts) and are different tests in mutual ones.  Example
+    with the bound saturated: gamma_A = gamma_B = 1, phi_BA = 4 gives
+    residual 0.
     """
     ga = np.asarray(gamma_A, dtype=float)
     gb = np.asarray(gamma_B, dtype=float)
@@ -87,34 +96,6 @@ def f_xy(X, Y):
     return out if out.ndim else float(out)
 
 
-def f_gradient(X, Y):
-    """Partial derivatives (df/dX, df/dY) of f in the interior (0, 1) x (0, 1).
-
-    With s = sqrt(ln X ln Y):
-
-        df/dX = -1 - Y ln Y sin(s) cos(s) / (X s)
-        df/dY = -sin(s) [sin(s) + (ln X / s) cos(s)]
-
-    The boundary X = 1 or Y = 1 (where s = 0 and the direction of
-    approach matters) is rejected.
-    """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if np.any((X <= 0.0) | (X >= 1.0)) or np.any((Y <= 0.0) | (Y >= 1.0)):
-        raise ValueError("gradient is defined on the open square (0, 1) x (0, 1)")
-    X, Y = np.broadcast_arrays(X, Y)
-    lx = np.log(X)
-    ly = np.log(Y)
-    s = np.sqrt(np.maximum(lx * ly, 1e-300))
-    sin_s = np.sin(s)
-    cos_s = np.cos(s)
-    dfdx = -1.0 - Y * ly * sin_s * cos_s / (X * s)
-    dfdy = -sin_s * (sin_s + (lx / s) * cos_s)
-    if dfdx.ndim:
-        return dfdx, dfdy
-    return float(dfdx), float(dfdy)
-
-
 def f_grid(n: int = 1000) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """f on an n x n interior grid, for scanning the sign of the function.
 
@@ -131,8 +112,11 @@ def implication_audit(samples) -> np.ndarray:
     """Check the complementarity implication on parameter triples.
 
     ``samples`` is an (N, 3) array of (gamma_A, gamma_B, phi_BA) triples.
-    For each triple the audit evaluates the Robertson residual and, where
-    the bound holds, the complementarity combination
+    For each triple the audit evaluates the Robertson residual in its
+    one-way form, gamma_A gamma_B - phi_BA^2 / 16 (not the commutator form
+    of Robertson's theorem, which it equals only where phi_AB = 0.0; see
+    :func:`robertson_residual`) and, where that bound holds, the
+    complementarity combination
 
         bound_residual = 1 - e^{-2 gamma_A} - e^{-2 gamma_B} sin^2(phi_BA / 2)
 

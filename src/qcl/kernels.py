@@ -42,7 +42,6 @@ __all__ = [
     "hadamard_dt_r",
     "smeared_coulomb",
     "coulomb_background",
-    "pure_gauge_background",
 ]
 
 _TWO_PI_SQ = 2.0 * math.pi ** 2
@@ -222,26 +221,6 @@ def coulomb_background(charge: float, position, spec: KernelSpec):
         r = np.linalg.norm(ev[..., 1:] - p, axis=-1)
         out = np.zeros(ev.shape)
         out[..., 0] = smeared_coulomb(r, charge, spec)
-        return out
-
-    return field
-
-
-def pure_gauge_background(chi_t, chi_grad):
-    """Background A^mu = (d chi / dt, -grad chi) for a scalar function chi.
-
-    Such a field is a gauge transform of zero: any phase built by
-    contracting it with a branch-difference current integrates to the
-    difference of chi along two paths with identical endpoints, hence to
-    zero.  ``chi_t`` and ``chi_grad`` take events of shape (..., 4) and
-    return the time derivative (...,) and spatial gradient (..., 3).
-    """
-
-    def field(events) -> np.ndarray:
-        ev = np.asarray(events, dtype=float)
-        out = np.empty(ev.shape)
-        out[..., 0] = chi_t(ev)
-        out[..., 1:] = -np.asarray(chi_grad(ev))
         return out
 
     return field

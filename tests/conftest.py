@@ -99,10 +99,11 @@ def mixed_scenarios(seed: int, n_spacelike: int, n_one_way: int, n_mutual: int):
     return out
 
 
-def count_adaptive_2d(monkeypatch, fail=()) -> Counter:
-    """Count qcl.functionals.adaptive_2d calls by integrand name; names in ``fail`` raise."""
+def count_adaptive(monkeypatch, dim: int, fail=()) -> Counter:
+    """Count qcl.functionals.adaptive_{dim}d calls by integrand name; names in ``fail`` raise."""
     calls = Counter()
-    real = qcl.functionals.adaptive_2d
+    attr = f"adaptive_{dim}d"
+    real = getattr(qcl.functionals, attr)
 
     def counted(f, *args, name, **kwargs):
         calls[name] += 1
@@ -110,7 +111,7 @@ def count_adaptive_2d(monkeypatch, fail=()) -> Counter:
             raise NumericFailure(name, 0.0, 1.0, 1e-9)
         return real(f, *args, name=name, **kwargs)
 
-    monkeypatch.setattr(qcl.functionals, "adaptive_2d", counted)
+    monkeypatch.setattr(qcl.functionals, attr, counted)
     return calls
 
 

@@ -7,8 +7,12 @@ phase terms from direct 1D quadrature of the potential along the
 branches, Gamma's integrand from all four branch combinations on
 3-vector positions and velocities, with no use of the mirror symmetry,
 and the causal margin from a scan of all four on a time grid.  The
-smeared retarded kernel's closed form lives here too, because only the
-own-field reference uses it; it is tested against its momentum integral.
+probe phase is kept as the loop with one potential call per branch that
+the stacked call replaced.  The smeared retarded kernel's closed form
+lives here too, because only the own-field reference uses it; it is
+tested against its momentum integral.  The implication function's
+analytic gradient and the pure-gauge background live here as well,
+because only tests use them.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from qcl.kernels import hadamard_dt_r
+from qcl.quadrature import adaptive_1d
 
 
 def hadamard_momentum(dt: float, r: float, sigma: float) -> float:
@@ -208,3 +213,71 @@ def causal_margin_grid_bound(probe, source, n: int = 192) -> float:
     (pa, pb), (sa, sb) = probe.split_window, source.split_window
     h = max((pb - pa) / (n - 1), (sb - sa) / (n - 1))
     return causal_margin_scan(probe, source, n) - 2.0 * h
+
+
+def probe_phase_per_branch(probe, potential, spec) -> tuple[float, float]:
+    """``functionals._probe_phase`` with one potential call per probe branch, right first.
+
+    The same adaptive_1d tolerance and knots, so the stacked call must
+    match it bitwise, value and error.
+    """
+    a, b = probe.split_window
+
+    def integrand(ts: np.ndarray) -> np.ndarray:
+        total = np.zeros_like(ts)
+        for wp, sp in probe.branches():
+            A = potential(np.concatenate([ts[:, None], wp.position(ts)], axis=1))
+            total += sp * (A[:, 0] - np.sum(wp.velocity(ts) * A[:, 1:], axis=-1))
+        return total
+
+    val, err = adaptive_1d(integrand, a, b, tol=spec.quad_tol, knots=probe.right.knots())
+    q = probe.charge
+    return q * val, abs(q) * err
+
+
+def f_gradient(X, Y):
+    """Partial derivatives (df/dX, df/dY) of ``inequalities.f_xy`` in the interior (0, 1) x (0, 1).
+
+    With s = sqrt(ln X ln Y):
+
+        df/dX = -1 - Y ln Y sin(s) cos(s) / (X s)
+        df/dY = -sin(s) [sin(s) + (ln X / s) cos(s)]
+
+    The boundary X = 1 or Y = 1 (where s = 0 and the direction of
+    approach matters) is rejected.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if np.any((X <= 0.0) | (X >= 1.0)) or np.any((Y <= 0.0) | (Y >= 1.0)):
+        raise ValueError("gradient is defined on the open square (0, 1) x (0, 1)")
+    X, Y = np.broadcast_arrays(X, Y)
+    lx = np.log(X)
+    ly = np.log(Y)
+    s = np.sqrt(np.maximum(lx * ly, 1e-300))
+    sin_s = np.sin(s)
+    cos_s = np.cos(s)
+    dfdx = -1.0 - Y * ly * sin_s * cos_s / (X * s)
+    dfdy = -sin_s * (sin_s + (lx / s) * cos_s)
+    if dfdx.ndim:
+        return dfdx, dfdy
+    return float(dfdx), float(dfdy)
+
+
+def pure_gauge_background(chi_t, chi_grad):
+    """Background A^mu = (d chi / dt, -grad chi) for a scalar function chi.
+
+    Such a field is a gauge transform of zero: any phase built by
+    contracting it with a branch-difference current integrates to the
+    difference of chi along two paths with identical endpoints, hence to
+    zero.  ``chi_t`` and ``chi_grad`` take events of shape (..., 4) and
+    return the time derivative (...,) and spatial gradient (..., 3).
+    """
+
+    def field(events) -> np.ndarray:
+        ev = np.asarray(events, dtype=float)
+        out = np.empty(ev.shape)
+        out[..., 0] = chi_t(ev)
+        out[..., 1:] = -np.asarray(chi_grad(ev))
+        return out
+
+    return field

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from conftest import draw_split, mixed_scenarios, mutual_scenario, one_way_scenario
 from qcl.functionals import (
     DecoherenceReport,
@@ -25,7 +26,7 @@ from qcl.functionals import (
 )
 from qcl.geometry import Scenario, make_branch_pair
 from qcl.inequalities import f_grid, implication_audit, robertson_residual
-from qcl.kernels import KernelSpec, coulomb_background, pure_gauge_background
+from qcl.kernels import KernelSpec, coulomb_background
 from qcl.modes import (
     branch_overlap_exact,
     discrete_gamma_phi,
@@ -123,13 +124,18 @@ def test_criterion_2_complementarity_never_exceeds_unity(scenario_batch):
 
 
 def test_criterion_3_robertson_floor_on_the_same_batch(scenario_batch):
-    # The uncertainty product gamma_A * gamma_B - phi_BA^2 / 16 may dip
-    # below zero only within the accumulated quadrature error estimate.
+    # The uncertainty product gamma_A * gamma_B - phi^2 / 16 may dip below
+    # zero only within the accumulated quadrature error estimate, both for
+    # the one-way phase phi_BA the implication uses and for the commutator
+    # phi_BA - phi_AB that Robertson's theorem bounds.
     rows, _ = scenario_batch
     for report, _, _ in rows:
         residual = robertson_residual(report.gamma_A, report.gamma_B,
                                       report.phi_BA)
         assert residual >= -report.quad_error
+        commutator = robertson_residual(report.gamma_A, report.gamma_B,
+                                        report.phi_BA - report.phi_AB)
+        assert commutator >= -report.quad_error
 
 
 def test_criterion_4_implication_bound_has_no_violations():
@@ -261,7 +267,7 @@ def test_criterion_9_independent_routes_for_exponent_and_phase():
             [np.zeros(n), 0.4 * np.sin(events[:, 0]), np.zeros(n)]
         )
 
-    gauge = pure_gauge_background(chi_t, chi_grad)
+    gauge = oracles.pure_gauge_background(chi_t, chi_grad)
     rng = np.random.default_rng(910)
     for _ in range(5):
         L, ramp, hold, q = draw_split(rng)

@@ -34,7 +34,7 @@ from qcl.functionals import build_report, gamma
 from qcl.inequalities import AuditResult
 from qcl.quadrature import NumericFailure
 
-from conftest import count_adaptive_2d
+from conftest import count_adaptive
 
 
 def _qcl_distribution_installed():
@@ -567,7 +567,7 @@ class TestSweepReusesGamma:
     ])
     def test_one_gamma_per_distinct_particle(self, runner, tmp_path, monkeypatch,
                                               vary, expected):
-        calls = count_adaptive_2d(monkeypatch)
+        calls = count_adaptive(monkeypatch, 2)
         cfg = write_config(tmp_path, base_config())
         result = runner.invoke(main, ["sweep", str(cfg), "--vary", vary,
                                       "--out-dir", str(tmp_path / "s")])
@@ -575,7 +575,7 @@ class TestSweepReusesGamma:
         assert calls == expected
 
     def test_reuse_ends_with_the_sweep(self, runner, tmp_path, monkeypatch):
-        calls = count_adaptive_2d(monkeypatch)
+        calls = count_adaptive(monkeypatch, 2)
         cfg = write_config(tmp_path, base_config())
         result = runner.invoke(main, ["sweep", str(cfg), "--vary", "geometry.D=4:10:2",
                                       "--out-dir", str(tmp_path / "s")])
@@ -589,7 +589,7 @@ class TestSweepReusesGamma:
         assert calls == {"gamma[A]": 4, "gamma[B]": 3}
 
     def test_failed_gamma_fails_every_point_that_shares_it(self, runner, tmp_path, monkeypatch):
-        calls = count_adaptive_2d(monkeypatch, fail={"gamma[B]"})
+        calls = count_adaptive(monkeypatch, 2, fail={"gamma[B]"})
         cfg = write_config(tmp_path, base_config())
         result = runner.invoke(main, ["sweep", str(cfg), "--vary", "geometry.D=4:10:3",
                                       "--out-dir", str(tmp_path / "s")])

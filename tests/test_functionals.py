@@ -8,8 +8,12 @@ import pytest
 
 import qcl.functionals
 from qcl.functionals import (
+    DecoherenceReport,
     _branch_pairing_with_error,
     _gamma_integrand,
+    _gamma_with_error,
+    _phi_self_with_error,
+    _probe_phase,
     build_report,
     commutator_functional,
     gamma,
@@ -19,12 +23,12 @@ from qcl.functionals import (
     reusing_gamma,
 )
 from qcl.geometry import Scenario, causal_margin, make_branch_pair
-from qcl.kernels import KernelSpec, _lw_batch, coulomb_background, pure_gauge_background
+from qcl.kernels import KernelSpec, _lw_batch, coulomb_background
 from qcl.quadrature import NumericFailure, panel_gauss_nodes
 from qcl.quantum import rho_A
 
 import oracles
-from conftest import count_adaptive_2d, mutual_scenario, one_way_scenario, spacelike_scenario
+from conftest import count_adaptive, mutual_scenario, one_way_scenario, spacelike_scenario
 
 
 class TestGamma:
@@ -137,7 +141,7 @@ class TestGammaMirrorPath:
 
 class TestReusingGamma:
     def test_reuses_across_rest_point_axis_and_window(self, spec, monkeypatch):
-        calls = count_adaptive_2d(monkeypatch)
+        calls = count_adaptive(monkeypatch, 2)
         standard = make_branch_pair("A", 0.6, 0.3, 0.9, 0.8, charge=1.2)
         moved = make_branch_pair("A", 0.6, 0.3, 0.9, 0.8, charge=1.2, base=(3.1, 0.3, -0.2),
                                  axis=(0.3, 1.0, -0.4), window=(-4.0, 11.5))
@@ -151,7 +155,7 @@ class TestReusingGamma:
     def test_key_is_exact_bits(self, spec, monkeypatch):
         # One quadrature per pair: each differs from the first in one key
         # field, a float of it by as little as its sign or last bit.
-        calls = count_adaptive_2d(monkeypatch)
+        calls = count_adaptive(monkeypatch, 2)
         pairs = [
             make_branch_pair("A", 0.0, 0.3, 0.9, 0.8),
             make_branch_pair("A", -0.0, 0.3, 0.9, 0.8),
@@ -170,7 +174,7 @@ class TestReusingGamma:
         assert sum(calls.values()) == len(pairs) * len(specs)
 
     def test_failure_is_stored_and_raised_again(self, spec, monkeypatch):
-        calls = count_adaptive_2d(monkeypatch, fail={"gamma[A]"})
+        calls = count_adaptive(monkeypatch, 2, fail={"gamma[A]"})
         pair = make_branch_pair("A", 0.6, 0.3, 0.9, 0.8)
         with reusing_gamma():
             for _ in range(3):
@@ -251,7 +255,7 @@ class TestPhiSelf:
             0.4 * np.sin(ev[..., 0]) * np.ones_like(ev[..., 0]),
             np.zeros_like(ev[..., 0]),
         ], axis=-1)
-        gauge = pure_gauge_background(chi_t, chi_grad)
+        gauge = oracles.pure_gauge_background(chi_t, chi_grad)
         assert abs(phi_self(pair, spec, background=gauge)) < 1e-12
 
 
@@ -323,6 +327,132 @@ class TestOffAxisNoSignalling:
         rep = build_report(s)
         assert rep.phi_AB == 0.0
         assert rep.phi_BA != 0.0
+
+
+class TestProbePhaseStacking:
+    # _probe_phase calls the potential once on both probe branches' events.
+    # Every potential acts on each event alone, so value and error must be
+    # bitwise those of one call per branch (oracles.probe_phase_per_branch).
+
+    @staticmethod
+    def _assert_bitwise(probe, potential, spec):
+        got = _probe_phase(probe, potential, spec, "probe")
+        want = oracles.probe_phase_per_branch(probe, potential, spec)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    @pytest.mark.parametrize("layout", [lambda s: s, _off_axis], ids=["standard", "off_axis"])
+    @pytest.mark.parametrize("family", [spacelike_scenario, one_way_scenario, mutual_scenario])
+    def test_branch_source(self, family, layout):
+        s = layout(family(np.random.default_rng(5)))
+        for probe, source in ((s.pair_A, s.pair_B), (s.pair_B, s.pair_A)):
+            for w in (source.right, source.left):
+                self._assert_bitwise(probe, lambda ev: _lw_batch(ev, w), s.kernel)
+
+    def test_source_difference(self):
+        # The potential of phi_pairing.
+        s = mutual_scenario(np.random.default_rng(5))
+        b = s.pair_B
+        self._assert_bitwise(
+            s.pair_A, lambda ev: _lw_batch(ev, b.right) - _lw_batch(ev, b.left), s.kernel)
+
+    def test_advanced_minus_retarded(self):
+        # The potential of the commutator's one-sided integral.
+        s = mutual_scenario(np.random.default_rng(5))
+        b = s.pair_B
+
+        def potential(ev):
+            return (_lw_batch(ev, b.right, advanced=True) - _lw_batch(ev, b.left, advanced=True)
+                    - _lw_batch(ev, b.right) + _lw_batch(ev, b.left))
+
+        self._assert_bitwise(s.pair_A, potential, s.kernel)
+
+    def test_coulomb_background(self, spec):
+        pair = make_branch_pair("A", 0.7, 0.4, 0.8, 1.0, charge=1.1)
+        self._assert_bitwise(pair, coulomb_background(0.9, (0.3, 0.5, 0.0), spec), spec)
+
+
+def _four_integral_report(s):
+    """build_report's fields with each per-branch pairing integrated on its own."""
+    spec = s.kernel
+    ga, ega = _gamma_with_error(s.pair_A, spec)
+    gb, egb = _gamma_with_error(s.pair_B, spec)
+    pa, epa = _phi_self_with_error(s.pair_A, spec, s.background)
+    pb, epb = _phi_self_with_error(s.pair_B, spec, s.background)
+    p_abr, e1 = _branch_pairing_with_error(s.pair_A, s.pair_B.right, spec)
+    p_abl, e2 = _branch_pairing_with_error(s.pair_A, s.pair_B.left, spec)
+    p_bar, e3 = _branch_pairing_with_error(s.pair_B, s.pair_A.right, spec)
+    p_bal, e4 = _branch_pairing_with_error(s.pair_B, s.pair_A.left, spec)
+    return DecoherenceReport(
+        gamma_A=ga, gamma_B=gb, phi_A=pa, phi_B=pb,
+        phi_A_BR=p_abr, phi_A_BL=p_abl, phi_B_AR=p_bar, phi_B_AL=p_bal,
+        phi_AB=p_abr - p_abl, phi_BA=p_bar - p_bal, sigma=spec.sigma,
+        quad_error=ega + egb + epa + epb + e1 + e2 + e3 + e4, spacelike=s.spacelike,
+    )
+
+
+def _negated(pair):
+    return dataclasses.replace(pair, right=dataclasses.replace(pair.right, charge=-pair.charge))
+
+
+def _shared_offset(s, y):
+    """Scenario s with both rest points moved by y along the split axis: not a mirror layout."""
+    return dataclasses.replace(
+        s,
+        pair_A=_relaid(s.pair_A, (0.0, y, 0.0), (0.0, 1.0, 0.0)),
+        pair_B=_relaid(s.pair_B, (s.D, y, 0.0), (0.0, 1.0, 0.0)),
+    )
+
+
+class TestMirrorShortcuts:
+    # In a mirror layout build_report integrates one pairing per direction,
+    # and none where the causal margin is positive.  Its report must equal,
+    # bit for bit and signed zeros included, the one four integrals give.
+
+    @staticmethod
+    def _report_and_pairing_integrals(s, monkeypatch):
+        calls = count_adaptive(monkeypatch, 1)
+        with reusing_gamma():
+            rep = build_report(s)
+            n = sum(c for name, c in calls.items() if name.startswith("pairing["))
+            want = _four_integral_report(s)
+        return rep, n, want
+
+    @pytest.mark.parametrize("negate", [False, True], ids=["positive", "negative"])
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("family, integrals", [
+        (spacelike_scenario, 0), (one_way_scenario, 1), (mutual_scenario, 2),
+    ])
+    def test_standard_layout(self, family, integrals, seed, negate, monkeypatch):
+        # Negative charges make zero pairings -0.0, which the shortcuts must keep.
+        s = family(np.random.default_rng(seed))
+        if negate:
+            s = dataclasses.replace(s, pair_A=_negated(s.pair_A), pair_B=_negated(s.pair_B))
+        rep, n, want = self._report_and_pairing_integrals(s, monkeypatch)
+        assert n == integrals
+        assert [repr(x) for x in dataclasses.astuple(rep)] == \
+            [repr(x) for x in dataclasses.astuple(want)]
+
+    @pytest.mark.parametrize("layout", [
+        lambda s: _shared_offset(s, 0.7), lambda s: _shared_offset(s, 1.9), _off_axis,
+    ], ids=["offset_0.7", "offset_1.9", "off_axis"])
+    def test_other_layouts_integrate_all_four(self, layout, monkeypatch):
+        s = layout(mutual_scenario(np.random.default_rng(7)))
+        rep, n, want = self._report_and_pairing_integrals(s, monkeypatch)
+        assert n == 4
+        assert [repr(x) for x in dataclasses.astuple(rep)] == \
+            [repr(x) for x in dataclasses.astuple(want)]
+
+    @pytest.mark.parametrize("y", [0.7, 1.9])
+    def test_shared_offset_breaks_the_mirror(self, y):
+        # Why the mirror test asks for zero bases along the axis, not just a
+        # zero (base_B - base_A) . axis: here that dot product is 0.0, yet
+        # left and right pairings differ in their last bits.
+        s = _shared_offset(mutual_scenario(np.random.default_rng(7)), y)
+        for probe, source in ((s.pair_A, s.pair_B), (s.pair_B, s.pair_A)):
+            right = _branch_pairing_with_error(probe, source.right, s.kernel)[0]
+            left = _branch_pairing_with_error(probe, source.left, s.kernel)[0]
+            assert left != 0.0 - right
+            assert left == pytest.approx(-right, rel=1e-14)
 
 
 class TestCommutator:

