@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .geometry import BranchPair
 from .kernels import KernelSpec
@@ -123,6 +122,9 @@ def _product_overlap(bra: np.ndarray, ket: np.ndarray) -> complex:
 
 
 def _evolve_fock(modes: ModeSet, label: str) -> np.ndarray:
+    # scipy.integrate loads here, not on import: only the two DOP853 routes need it.
+    from scipy.integrate import solve_ivp
+
     dim = modes.n_max + 1
     n = modes.n_modes
     sq = np.sqrt(np.arange(1, dim))
@@ -159,6 +161,9 @@ def _beta_theta(modes: ModeSet, label: str) -> tuple[np.ndarray, float]:
     with a high-order adaptive step, so both the first-order (beta = -i G)
     and second-order (theta) Magnus data come from one pass.
     """
+    # scipy.integrate loads here, not on import: only the two DOP853 routes need it.
+    from scipy.integrate import solve_ivp
+
     n = modes.n_modes
     t0, t1 = modes.window
 

@@ -13,16 +13,26 @@ One tensor-product panel engine serves :func:`adaptive_1d` and
 at every interior knot and bisects its widest segments until the axis
 has at least 4.  Each panel is measured with a low- and a high-order
 Gauss-Legendre rule (8 and 16 points in 1D, 4x4 and 8x8 tensor rules in
-2D); the high-order value is kept and
+2D) and the high-order value is kept.  With E = |I_high - I_low|, the
+panel's error estimate is
 
-    err = |I_high - I_low|
+    1D:  err = E
+    2D:  err = max(E * min(1, sqrt(100 E / A)), 50 eps A)
 
-is the panel's error estimate.  Refinement stops once the summed error
-is at most max(tol * |I|, tol * 1e-3 * L1), with L1 the sum of absolute
-panel values.  Until then each round bisects, along every axis, the
-worst panels: a quarter (at least one) of those whose error exceeds the
-target divided by the panel count.  Reaching ``max_panels`` first
-raises :class:`NumericFailure` carrying the tolerance actually achieved.
+with A = volume * sum w |f| over the 8x8 nodes (QUADPACK's QK form,
+Piessens et al. 1983).  E is the error of the low rule; the 2D form
+shrinks a small E to what the 8x8 rule still misses, floors it at the
+rounding of the panel's terms, and is 0 where A is 0.  1D keeps E: the
+pairings' integrands kink where a light-cone crossing meets a source
+knot, a panel straddling such a kink can already make E smaller than
+its true error, and a smaller estimate would miss by more.
+
+Refinement stops once the summed error is at most max(tol * |I|,
+tol * 1e-3 * L1), with L1 the sum of absolute panel values.  Until then
+each round bisects, along every axis, the worst panels: a quarter (at
+least one) of those whose error exceeds the target divided by the panel
+count.  Reaching ``max_panels`` first raises :class:`NumericFailure`
+carrying the tolerance actually achieved.
 
 ``symmetric=True`` folds a 2D f(x, y) = f(y, x), on a square with the
 same edges on both axes, onto the panels on or below the diagonal.  A
@@ -83,6 +93,18 @@ def _tensor_rule(order: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
 _RULES_1D = (_tensor_rule(8, 1), _tensor_rule(16, 1))
 _RULES_2D = (_tensor_rule(4, 2), _tensor_rule(8, 2))
 _MIN_PANELS = 4
+_EPS = np.finfo(float).eps
+
+
+def _high_rule_error(diff: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """Error of 2D panels' 8x8 values in QUADPACK's QK form (module docstring).
+
+    ``diff`` is |I_8x8 - I_4x4| and ``mass`` the panel's L1 mass A.  A
+    panel of zeros has error 0; a NaN stays NaN.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = diff * np.minimum(1.0, np.sqrt(100.0 * diff / mass))
+    return np.where(mass == 0.0, 0.0, np.maximum(scaled, 50.0 * _EPS * mass))
 
 
 def _axis_edges(a: float, b: float, knots) -> np.ndarray:
@@ -135,9 +157,13 @@ def _adaptive(f, ranges, knots, rules, tol: float, max_panels: int, name: str, s
         vals = np.asarray(f(*coords), dtype=float)
         n_lo = plo.shape[0] * w_lo.size
         volume = np.prod(half, axis=1)
+        hi_vals = vals[n_lo:].reshape(-1, w_hi.size)
         i_lo = volume * (vals[:n_lo].reshape(-1, w_lo.size) @ w_lo)
-        i_hi = volume * (vals[n_lo:].reshape(-1, w_hi.size) @ w_hi)
-        return weight * i_hi, weight * np.abs(i_hi - i_lo)
+        i_hi = volume * (hi_vals @ w_hi)
+        err = np.abs(i_hi - i_lo)
+        if dim == 2:
+            err = _high_rule_error(err, volume * (np.abs(hi_vals) @ w_hi))
+        return weight * i_hi, weight * err
 
     lo, hi, wt = fold(lo, hi)
     vals, errs = eval_panels(lo, hi, wt)
@@ -207,7 +233,11 @@ def adaptive_2d(
     ``f`` receives two flat arrays (same length) of x and y coordinates
     and returns the integrand at each pair.  Panels are axis-aligned
     rectangles; each is measured with 4x4 and 8x8 Gauss-Legendre tensor
-    rules and split into four when its embedded error dominates.  The
+    rules and split into four when its error dominates.  That error is the
+    8x8 value's own, not the 4x4 one's: |I_8x8 - I_4x4| shrunk by
+    min(1, sqrt(100 |I_8x8 - I_4x4| / A)), A the panel's L1 mass, and
+    floored at 50 eps A (module docstring), so a zero integrand returns
+    (0.0, 0.0) after one round and a constant one sits on the floor.  The
     convergence target follows the same rule as :func:`adaptive_1d`.
     ``symmetric=True`` evaluates only the panels on or below the diagonal
     of an f(x, y) = f(y, x) (module docstring); it raises ValueError unless

@@ -23,6 +23,7 @@ from qcl.functionals import (
     gamma_momentum,
     phi_pairing,
     phi_self,
+    reusing_gamma,
 )
 from qcl.geometry import Scenario, make_branch_pair
 from qcl.inequalities import f_grid, implication_audit, robertson_residual
@@ -73,12 +74,6 @@ def test_criterion_1_spacelike_scenarios_carry_no_imprint_of_b():
         pair_a = make_branch_pair("A", pa[0], t0a, pa[1], pa[2],
                                   charge=pa[3], window=window)
 
-        # The A-side functionals take only A's pair and the kernel, so
-        # they are computed once; the cross pairings are recomputed for
-        # every perturbed B.
-        gamma_a = gamma(pair_a, spec)
-        phi_a = phi_self(pair_a, spec)
-
         variants = [
             (L_b, ramp_b, q_b),
             (1.25 * L_b, ramp_b, q_b),
@@ -86,28 +81,33 @@ def test_criterion_1_spacelike_scenarios_carry_no_imprint_of_b():
             (L_b, ramp_b, 1.7 * q_b),
         ]
         matrices = []
-        for L, ramp, q in variants:
-            pair_b = make_branch_pair("B", L, t0b, ramp, hold_b, charge=q,
-                                      base=(D, 0.0, 0.0), window=window)
-            scenario = Scenario(pair_A=pair_a, pair_B=pair_b, kernel=spec,
-                                D=D, T=T, T_A=2.0 * pa[1] + pa[2],
-                                T_B=2.0 * ramp + hold_b)
-            assert D > T
-            assert scenario.spacelike
-            from_right = _branch_pairing_with_error(pair_a, pair_b.right, spec)[0]
-            from_left = _branch_pairing_with_error(pair_a, pair_b.left, spec)[0]
-            assert from_right == 0.0
-            assert from_left == 0.0
-            phi_ab = from_right - from_left
-            assert phi_ab == 0.0
-            report = DecoherenceReport(
-                gamma_A=gamma_a, gamma_B=0.0, phi_A=phi_a, phi_B=0.0,
-                phi_A_BR=from_right, phi_A_BL=from_left,
-                phi_B_AR=0.0, phi_B_AL=0.0,
-                phi_AB=phi_ab, phi_BA=0.0,
-                sigma=sigma, spacelike=True, quad_error=0.0,
-            )
-            matrices.append(rho_A(report).matrix)
+        # The A-side functionals take only A's pair and the kernel:
+        # reusing_gamma computes Gamma_A once, and the cross pairings are
+        # recomputed for every perturbed B.
+        with reusing_gamma():
+            for L, ramp, q in variants:
+                pair_b = make_branch_pair("B", L, t0b, ramp, hold_b, charge=q,
+                                          base=(D, 0.0, 0.0), window=window)
+                scenario = Scenario(pair_A=pair_a, pair_B=pair_b, kernel=spec,
+                                    D=D, T=T, T_A=2.0 * pa[1] + pa[2],
+                                    T_B=2.0 * ramp + hold_b)
+                assert D > T
+                assert scenario.spacelike
+                from_right = _branch_pairing_with_error(pair_a, pair_b.right, spec)[0]
+                from_left = _branch_pairing_with_error(pair_a, pair_b.left, spec)[0]
+                assert from_right == 0.0
+                assert from_left == 0.0
+                phi_ab = from_right - from_left
+                assert phi_ab == 0.0
+                report = DecoherenceReport(
+                    gamma_A=gamma(pair_a, spec), gamma_B=0.0,
+                    phi_A=phi_self(pair_a, spec), phi_B=0.0,
+                    phi_A_BR=from_right, phi_A_BL=from_left,
+                    phi_B_AR=0.0, phi_B_AL=0.0,
+                    phi_AB=phi_ab, phi_BA=0.0,
+                    sigma=sigma, spacelike=True, quad_error=0.0,
+                )
+                matrices.append(rho_A(report).matrix)
         for m in matrices[1:]:
             assert np.array_equal(matrices[0], m)
     assert time.perf_counter() - start < 60.0

@@ -1,7 +1,10 @@
 """The public surface: every exported and traced name resolves, and removed keywords stay removed."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,6 +20,15 @@ def test_all_names_resolve(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # Only the two DOP853 routes in qcl.modes need it, so they import it.
+    src = os.path.dirname(os.path.dirname(qcl.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import qcl, qcl.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # Every (module, attribute) the benchmark's tracer wraps by name.  The tracer

@@ -28,7 +28,8 @@ from qcl.quadrature import NumericFailure, panel_gauss_nodes
 from qcl.quantum import rho_A
 
 import oracles
-from conftest import count_adaptive, mutual_scenario, one_way_scenario, spacelike_scenario
+from conftest import (count_adaptive, mixed_scenarios, mutual_scenario, one_way_scenario,
+                      spacelike_scenario)
 
 
 class TestGamma:
@@ -61,6 +62,29 @@ class TestGamma:
         a = gamma(pair, spec)
         b = gamma_momentum(pair, spec)
         assert abs(a - b) / a < 1e-4
+
+
+# (Gamma_A, Gamma_B) of mixed_scenarios(1818, 2, 2, 2) at quad_tol 1e-11:
+# two spacelike, two one-way and two mutual scenarios.
+GAMMA_REFERENCES = [
+    (0.05147792393247155, 0.12695353993951675),
+    (0.08230578977441912, 0.15334748069430176),
+    (0.05087378021690466, 0.22279738074763125),
+    (0.22583389095282902, 0.23662137382189033),
+    (0.0574485527789095, 0.20539227487510944),
+    (0.09788854312350749, 0.2682164191403174),
+]
+
+
+class TestGammaErrorEstimate:
+    @pytest.mark.parametrize("quad_tol", [1e-4, 1e-6, 1e-8])
+    def test_estimate_bounds_true_error(self, quad_tol):
+        scenarios = mixed_scenarios(1818, 2, 2, 2)
+        for scenario, refs in zip(scenarios, GAMMA_REFERENCES, strict=True):
+            spec = dataclasses.replace(scenario.kernel, quad_tol=quad_tol)
+            for pair, ref in zip((scenario.pair_A, scenario.pair_B), refs):
+                value, err = _gamma_with_error(pair, spec)
+                assert abs(value - ref) <= err
 
 
 def _gamma_work(monkeypatch, pair, spec):
@@ -115,12 +139,13 @@ class TestGammaMirrorPath:
     def test_mirror_work_count(self, spec, monkeypatch):
         # Two kernel points per integrand point.  The integrand point count
         # is frozen: Gamma's integrand is symmetric under t <-> u, so the
-        # quadrature evaluates only the panels on or below the diagonal, at
-        # most 0.56 of the full square's 106,880 points.
+        # quadrature evaluates only the panels on or below the diagonal, and
+        # the 2D estimate is the 8x8 rule's own error, so it stops at well
+        # under 0.4 of the 56,320 points that |I_8x8 - I_4x4| took.
         pair = make_branch_pair("A", 0.6, 0.3, 0.9, 0.8, charge=1.2)
         _, counts = _gamma_work(monkeypatch, pair, spec)
-        assert counts["integrand"] == 56_320
-        assert counts["integrand"] <= 0.56 * 106_880
+        assert counts["integrand"] == 20_640
+        assert counts["integrand"] <= 0.4 * 56_320
         assert counts["hadamard"] == 2 * counts["integrand"]
 
     @pytest.mark.parametrize("base, axis, window", [
