@@ -41,7 +41,7 @@ from dataclasses import asdict, astuple, dataclass
 import numpy as np
 
 from .geometry import BranchPair, Scenario, Worldline, _mirrored, _mutually_spacelike, causal_margin
-from .kernels import KernelSpec, _lw_batch, hadamard_dt_r
+from .kernels import KernelSpec, _light_cone_times, _lw_batch, hadamard_dt_r
 from .quadrature import NumericFailure, adaptive_1d, adaptive_2d, panel_gauss_nodes
 
 __all__ = [
@@ -249,7 +249,22 @@ def phi_self(pair: BranchPair, spec: KernelSpec, background=None) -> float:
 # Pairing phases between two particles (bare retarded potentials).
 
 
-def _probe_integral(probe: BranchPair, potential, spec: KernelSpec, name: str) -> tuple[float, float]:
+def _cone_edges(probe: BranchPair, sources: tuple[Worldline, ...], advanced: bool) -> list[float]:
+    """Probe times at which a branch's light cone meets a knot of a source branch.
+
+    The field of ``sources`` (retarded, or advanced if ``advanced``) at a probe
+    branch kinks where its crossing time is a source knot, since a source's
+    jerk jumps there.  Those probe times are the branch's advanced (for a
+    retarded field) or retarded crossings of the knot events (t_k, X_S(t_k)):
+    one light-cone solve per probe branch.
+    """
+    events = np.array([[t, *w.position(t)] for w in sources for t in w.knots()])
+    return [t for wp, _ in probe.branches()
+            for t in _light_cone_times(events, wp, advanced=not advanced).tolist()]
+
+
+def _probe_integral(probe: BranchPair, potential, spec: KernelSpec, name: str,
+                    edges=()) -> tuple[float, float]:
     """The integral of :func:`_probe_phase` before its factor q_probe, with its error."""
     a, b = probe.split_window
     branches = probe.branches()
@@ -263,10 +278,12 @@ def _probe_integral(probe: BranchPair, potential, spec: KernelSpec, name: str) -
             total += sp * (Ap[:, 0] - np.sum(wp.velocity(ts) * Ap[:, 1:], axis=-1))
         return total
 
-    return adaptive_1d(integrand, a, b, tol=spec.quad_tol, knots=probe.right.knots(), name=name)
+    return adaptive_1d(integrand, a, b, tol=spec.quad_tol, knots=[*probe.right.knots(), *edges],
+                       name=name)
 
 
-def _probe_phase(probe: BranchPair, potential, spec: KernelSpec, name: str) -> tuple[float, float]:
+def _probe_phase(probe: BranchPair, potential, spec: KernelSpec, name: str,
+                 edges=()) -> tuple[float, float]:
     """Phase of the probe's branch difference in a four-potential, with its error.
 
     q_probe int dt sum_P s_P [A^0(t, X_P(t)) - v_P(t) . A_vec(t, X_P(t))]
@@ -277,8 +294,14 @@ def _probe_phase(probe: BranchPair, potential, spec: KernelSpec, name: str) -> t
     the value is bitwise that of one call per branch.  The error estimate
     scales with |q_probe|, so it stays non-negative for either sign of
     charge.
+
+    Panel edges sit at the probe's own knots and at ``edges``.  A
+    worldline potential passes :func:`_cone_edges` there: the probe times
+    whose light-cone crossing lands on a source knot, where the integrand
+    kinks and a panel straddling the kink could make |I_16 - I_8| smaller
+    than its true error.  A background field passes none.
     """
-    val, err = _probe_integral(probe, potential, spec, name)
+    val, err = _probe_integral(probe, potential, spec, name, edges)
     q = probe.charge
     return q * val, abs(q) * err
 
@@ -289,6 +312,7 @@ def _branch_pairing_with_error(
     """Phase of the probe's branch difference in one source branch's bare retarded field."""
     return _probe_phase(
         probe, lambda ev: _lw_batch(ev, source), spec, f"pairing[{probe.label}]",
+        _cone_edges(probe, (source,), advanced=False),
     )
 
 
@@ -309,11 +333,27 @@ def _pairings_with_error(
     if causal_margin(probe, source) > 0.0:
         val, err = 0.0, 0.0
     else:
+        # The left branch's knots give the same edges, bitwise, in a mirror layout.
         val, err = _probe_integral(probe, lambda ev: _lw_batch(ev, source.right), spec,
-                                   f"pairing[{probe.label}]")
+                                   f"pairing[{probe.label}]",
+                                   _cone_edges(probe, (source.right,), advanced=False))
     q = probe.charge
     # 0.0 - val, not -val: a zero integral is +0.0 for both source branches.
     return (q * val, abs(q) * err), (q * (0.0 - val), abs(q) * err)
+
+
+def _phi_pairing_with_error(
+    probe: BranchPair, source: BranchPair, spec: KernelSpec
+) -> tuple[float, float]:
+    if causal_margin(probe, source) > 0.0:
+        return 0.0, 0.0
+
+    def difference(ev: np.ndarray) -> np.ndarray:
+        return _lw_batch(ev, source.right) - _lw_batch(ev, source.left)
+
+    name = f"phi_pairing[{probe.label},{source.label}]"
+    edges = _cone_edges(probe, (source.right, source.left), advanced=False)
+    return _probe_phase(probe, difference, spec, name, edges)
 
 
 def phi_pairing(probe: BranchPair, source: BranchPair, spec: KernelSpec) -> float:
@@ -326,18 +366,13 @@ def phi_pairing(probe: BranchPair, source: BranchPair, spec: KernelSpec) -> floa
     margin), returns exactly 0.0 without quadrature: the bare cone gives
     the difference field no support there.
     """
-    if causal_margin(probe, source) > 0.0:
-        return 0.0
-
-    def difference(ev: np.ndarray) -> np.ndarray:
-        return _lw_batch(ev, source.right) - _lw_batch(ev, source.left)
-
-    name = f"phi_pairing[{probe.label},{source.label}]"
-    return _probe_phase(probe, difference, spec, name)[0]
+    return _phi_pairing_with_error(probe, source, spec)[0]
 
 
-def _one_sided_commutator(probe: BranchPair, source: BranchPair, spec: KernelSpec) -> float:
-    """Integral over the probe window of the source's advanced-minus-retarded field."""
+def _one_sided_commutator(
+    probe: BranchPair, source: BranchPair, spec: KernelSpec
+) -> tuple[float, float]:
+    """The probe-window integral of the source's advanced-minus-retarded field, with its error."""
 
     def difference(ev: np.ndarray) -> np.ndarray:
         return (
@@ -347,7 +382,19 @@ def _one_sided_commutator(probe: BranchPair, source: BranchPair, spec: KernelSpe
             + _lw_batch(ev, source.left)
         )
 
-    return _probe_phase(probe, difference, spec, "commutator")[0]
+    sources = (source.right, source.left)
+    edges = [t for advanced in (False, True) for t in _cone_edges(probe, sources, advanced)]
+    return _probe_phase(probe, difference, spec, "commutator", edges)
+
+
+def _commutator_with_error(
+    pair_A: BranchPair, pair_B: BranchPair, spec: KernelSpec
+) -> tuple[float, float]:
+    if _mutually_spacelike(pair_A, pair_B):
+        return 0.0, 0.0
+    forward, err_f = _one_sided_commutator(pair_A, pair_B, spec)
+    reverse, err_r = _one_sided_commutator(pair_B, pair_A, spec)
+    return 0.5 * (forward - reverse), 0.5 * (err_f + err_r)
 
 
 def commutator_functional(pair_A: BranchPair, pair_B: BranchPair, spec: KernelSpec) -> float:
@@ -359,15 +406,11 @@ def commutator_functional(pair_A: BranchPair, pair_B: BranchPair, spec: KernelSp
     equal the reverse pairing without ever integrating a double window.
     The two one-sided routes are mathematically opposite, so their
     half-difference keeps the value while making swap antisymmetry
-    commutator(B, A) = -commutator(A, B) hold bit for bit.  Returns
-    exactly 0.0 when the split windows are mutually spacelike (both
-    causal margins positive).
+    commutator(B, A) = -commutator(A, B) hold bit for bit; its error is
+    the mean of theirs.  Returns exactly 0.0 when the split windows are
+    mutually spacelike (both causal margins positive).
     """
-    if _mutually_spacelike(pair_A, pair_B):
-        return 0.0
-    forward = _one_sided_commutator(pair_A, pair_B, spec)
-    reverse = _one_sided_commutator(pair_B, pair_A, spec)
-    return 0.5 * (forward - reverse)
+    return _commutator_with_error(pair_A, pair_B, spec)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -213,7 +213,8 @@ def _mirrored(a: BranchPair, b: BranchPair) -> bool:
     pairing integral against the source's left branch is bitwise 0.0
     minus the one against its right branch.  A zero dot product
     (base_b - base_a) . axis is not enough: bases (0, 0.7, 0) and
-    (1.4, 0.7, 0) split along y give pairings that differ in their last bits.
+    (D, 0.7, 0) split along y can give pairings that differ in their last
+    bits (at D = 1.589 in ``test_shared_offset_breaks_the_mirror``).
     """
     axis = a.right.axis
     moved = axis != 0.0

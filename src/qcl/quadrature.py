@@ -22,10 +22,12 @@ panel's error estimate is
 with A = volume * sum w |f| over the 8x8 nodes (QUADPACK's QK form,
 Piessens et al. 1983).  E is the error of the low rule; the 2D form
 shrinks a small E to what the 8x8 rule still misses, floors it at the
-rounding of the panel's terms, and is 0 where A is 0.  1D keeps E: the
-pairings' integrands kink where a light-cone crossing meets a source
-knot, a panel straddling such a kink can already make E smaller than
-its true error, and a smaller estimate would miss by more.
+rounding of the panel's terms, and is 0 where A is 0.  1D keeps E.  A
+panel that straddles a kink can make E smaller than its true error, so
+the pairings, whose integrands kink wherever a light-cone crossing meets
+a source knot, pass every such time as a knot and no panel straddles
+one.  There E is far above the true error, but no battery has yet
+calibrated a smaller 1D estimate.
 
 Refinement stops once the summed error is at most max(tol * |I|,
 tol * 1e-3 * L1), with L1 the sum of absolute panel values.  Until then
@@ -209,6 +211,8 @@ def adaptive_1d(
     ``f`` receives a 1D array of points and must return the integrand at
     each.  Panels are intervals measured with 8- and 16-point
     Gauss-Legendre rules, and every knot inside (a, b) is a panel edge.
+    The error estimate |I_16 - I_8| holds only where f is smooth, so the
+    knots should include every kink of f.
     Refinement and the stop rule are those of the module docstring: the
     L1 term keeps integrals that cancel to nearly zero from chasing an
     impossible relative target.  Returns (value, error_estimate).

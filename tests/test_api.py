@@ -23,12 +23,14 @@ def test_all_names_resolve(module):
 
 
 def test_import_leaves_scipy_integrate_unloaded():
-    # Only the two DOP853 routes in qcl.modes need it, so they import it.
+    # Only the two DOP853 routes in qcl.modes need scipy.integrate, so they
+    # import it.  Nothing needs scipy.optimize: the pairings' panel edges
+    # come from the light-cone Newton solve, not from a root finder.
     src = os.path.dirname(os.path.dirname(qcl.__file__))
     code = (f"import sys; sys.path.insert(0, {src!r}); import qcl, qcl.cli; "
-            "print('scipy.integrate' in sys.modules)")
+            "print([m in sys.modules for m in ('scipy.integrate', 'scipy.optimize')])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False]"
 
 
 # Every (module, attribute) the benchmark's tracer wraps by name.  The tracer

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import qcl.functionals
 import qcl.kernels
 from qcl.functionals import build_report
 from qcl.geometry import Worldline, make_branch_pair
@@ -304,9 +305,11 @@ class TestLightConeSolver:
 
     def test_position_work_per_event_is_bounded(self, monkeypatch):
         # Counts Worldline.position points evaluated inside the solve over
-        # one mutual report.  The closed form costs 1 per event and Newton
-        # a few more; a solve that fell back to bisection would cost ~60.
-        s = mutual_scenario(np.random.default_rng(0))
+        # three mutual reports, the pairings' light-cone panel edges
+        # included.  The closed form costs 1 per event and Newton a few
+        # more; a solve that fell back to bisection would cost ~60.
+        rng = np.random.default_rng(0)
+        scenarios = [mutual_scenario(rng) for _ in range(3)]
         counts = {"events": 0, "points": 0, "inside": False}
         solve, position = qcl.kernels._light_cone_times, Worldline.position
 
@@ -324,8 +327,10 @@ class TestLightConeSolver:
             return position(self, ts)
 
         monkeypatch.setattr(qcl.kernels, "_light_cone_times", counted_solve)
+        monkeypatch.setattr(qcl.functionals, "_light_cone_times", counted_solve)
         monkeypatch.setattr(Worldline, "position", counted_position)
-        build_report(s)
+        for s in scenarios:
+            build_report(s)
         assert counts["events"] > 1000
         assert counts["points"] <= 8 * counts["events"]
 
