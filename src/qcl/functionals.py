@@ -41,7 +41,7 @@ from dataclasses import asdict, astuple, dataclass
 import numpy as np
 
 from .geometry import BranchPair, Scenario, Worldline, _mirrored, _mutually_spacelike, causal_margin
-from .kernels import KernelSpec, _light_cone_times, _lw_batch, hadamard_dt_r
+from .kernels import KernelSpec, _cone_edges, _lw_batch, hadamard_dt_r
 from .quadrature import NumericFailure, adaptive_1d, adaptive_2d, panel_gauss_nodes
 
 __all__ = [
@@ -158,7 +158,7 @@ def gamma(pair: BranchPair, spec: KernelSpec) -> float:
 
 
 def _gamma_momentum_pass(pair: BranchPair, spec: KernelSpec, bump: int) -> float:
-    pr, pl = pair.right, pair.left
+    p = pair.right
     a, b = pair.split_window
     sigma = spec.sigma
     k_up = spec.k_up
@@ -173,22 +173,20 @@ def _gamma_momentum_pass(pair: BranchPair, spec: KernelSpec, bump: int) -> float
     mu_n = 48 + 3 * bump
     mun, muw = np.polynomial.legendre.leggauss(mu_n)
 
-    dr, rr = pr.displacement(tn), pr.displacement_rate(tn)
-    dl, rl = pl.displacement(tn), pl.displacement_rate(tn)
+    d = p.displacement(tn)
+    weight = 2.0 * tw * p.displacement_rate(tn)
 
     total = 0.0
-    # 2.5e5 elements per k-chunk keep each complex temporary near 4 MB.
+    # 2.5e5 elements per k-chunk keep each (k, mu, t) temporary near 2 MB.
     chunk = max(1, int(2.5e5 / (mu_n * tn.size)))
     for i0 in range(0, kn.size, chunk):
         ks = kn[i0:i0 + chunk]
         kws = kw[i0:i0 + chunk]
-        # Phase arrays: (n_k, n_mu, n_t).
-        phase_t = ks[:, None, None] * tn[None, None, :]
-        kmu = ks[:, None] * mun[None, :]
-        amp_r = rr[None, None, :] * np.exp(1j * (phase_t - kmu[:, :, None] * dr[None, None, :]))
-        amp_l = rl[None, None, :] * np.exp(1j * (phase_t - kmu[:, :, None] * dl[None, None, :]))
-        j_par = np.tensordot(amp_r - amp_l, tw, axes=(2, 0))
-        mod2 = (j_par.real ** 2 + j_par.imag ** 2) @ (muw * (1.0 - mun ** 2))
+        phase_t = ks[:, None] * tn[None, :]
+        # J(k, mu) = sum_t weight e^{ikt} cos(k mu d), with Re and Im on the last axis.
+        wave = weight[:, None] * np.stack([np.cos(phase_t), np.sin(phase_t)], axis=-1)
+        j_par = np.cos((ks[:, None] * mun)[:, :, None] * d) @ wave
+        mod2 = np.sum(j_par ** 2, axis=-1) @ (muw * (1.0 - mun ** 2))
         total += float(np.sum(kws * ks * np.exp(-(ks * sigma) ** 2) * mod2))
     q = pair.charge
     return q * q * total / (16.0 * math.pi ** 2)
@@ -199,7 +197,10 @@ def gamma_momentum(pair: BranchPair, spec: KernelSpec) -> float:
 
     Writes Gamma as (1/16 pi^2) int_0^kmax dk k e^{-k^2 sigma^2}
     int_-1^1 dmu (1 - mu^2) |J(k, mu)|^2 where J is the branch-difference
-    current projected on the displacement axis; the integrand is
+    current projected on the displacement axis.  The left branch mirrors
+    the right one, d_L = -d_R, so with d, rho the right branch's
+    displacement and rate J = 2 int dt rho(t) e^{ikt} cos(k mu d(t)): one
+    real cosine array over (k, mu, t).  The integrand is
     manifestly non-negative, which makes this an independent positivity
     check on :func:`gamma`.  Runs a coarse and a refined pass and raises
     NumericFailure if they disagree beyond the requested tolerance.
@@ -247,20 +248,6 @@ def phi_self(pair: BranchPair, spec: KernelSpec, background=None) -> float:
 
 # ---------------------------------------------------------------------------
 # Pairing phases between two particles (bare retarded potentials).
-
-
-def _cone_edges(probe: BranchPair, sources: tuple[Worldline, ...], advanced: bool) -> list[float]:
-    """Probe times at which a branch's light cone meets a knot of a source branch.
-
-    The field of ``sources`` (retarded, or advanced if ``advanced``) at a probe
-    branch kinks where its crossing time is a source knot, since a source's
-    jerk jumps there.  Those probe times are the branch's advanced (for a
-    retarded field) or retarded crossings of the knot events (t_k, X_S(t_k)):
-    one light-cone solve per probe branch.
-    """
-    events = np.array([[t, *w.position(t)] for w in sources for t in w.knots()])
-    return [t for wp, _ in probe.branches()
-            for t in _light_cone_times(events, wp, advanced=not advanced).tolist()]
 
 
 def _probe_integral(probe: BranchPair, potential, spec: KernelSpec, name: str,

@@ -160,11 +160,13 @@ def implication_audit(samples) -> np.ndarray:
 class AuditResult:
     """Inequality residuals of one scenario report, with pass flags.
 
-    ``f_value`` evaluates the implication function at
-    X = e^{-2 gamma_A}, Y = e^{-phi_BA^2 / (8 gamma_A)}; the two limits
-    gamma_A -> 0 (X -> 1, f -> 0) and phi_BA = 0 (Y = 1, f = 1 - X) are
-    taken exactly.  Pass flags use an absolute tolerance of 1e-9, widened
-    by the report's quadrature error where quadrature feeds the inputs.
+    ``f_value`` is the implication function at X = e^{-2 gamma_A},
+    Y = e^{-phi_BA^2 / (8 gamma_A)}.  Since ln X ln Y = phi_BA^2 / 4, it is
+    the closed form 1 - X - Y sin^2(s) with s = |phi_BA| / 2, free of
+    logarithms, so an exponential that underflows to 0.0 is its limit.  It
+    is exactly 1 - X at phi_BA = 0, and 0.0 at gamma_A = 0 (X -> 1).  Pass
+    flags use an absolute tolerance of 1e-9, widened by the report's
+    quadrature error where quadrature feeds the inputs.
     """
 
     complementarity_residual: float
@@ -175,18 +177,14 @@ class AuditResult:
 
 
 def audit_report(report, V: float, D: float) -> AuditResult:
-    """Build the inequality audit for one report and its derived V, D."""
+    """Build the inequality audit for one report and its derived V, D (f_value: see AuditResult)."""
     comp = complementarity_residual(V, D)
     rob = robertson_residual(report.gamma_A, report.gamma_B, report.phi_BA)
-    if report.gamma_A <= 0.0:
+    ga, phi = report.gamma_A, report.phi_BA
+    if ga <= 0.0:
         fv = 0.0
-    elif report.phi_BA == 0.0:
-        fv = 1.0 - math.exp(-2.0 * report.gamma_A)
     else:
-        fv = f_xy(
-            math.exp(-2.0 * report.gamma_A),
-            math.exp(-report.phi_BA ** 2 / (8.0 * report.gamma_A)),
-        )
+        fv = 1.0 - math.exp(-2.0 * ga) - math.exp(-phi ** 2 / (8.0 * ga)) * math.sin(0.5 * phi) ** 2
     slack = 1e-9 + report.quad_error
     return AuditResult(
         complementarity_residual=float(comp),

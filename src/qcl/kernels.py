@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import dawsn, erf
 
-from .geometry import Worldline
+from .geometry import BranchPair, Worldline
 
 __all__ = [
     "KernelSpec",
@@ -179,6 +179,20 @@ def _light_cone_times(events: np.ndarray, w: Worldline, *, advanced: bool) -> np
         todo, t, x, tau, lo, hi = (a[~done] for a in (todo, t, x, step, lo, hi))
         pos = w.position(tau)
     raise ArithmeticError(f"light-cone solve did not converge for {todo.size} events")
+
+
+def _cone_edges(probe: BranchPair, sources: tuple[Worldline, ...], advanced: bool) -> list[float]:
+    """Probe times at which a branch's light cone meets a knot of a source branch.
+
+    The field of ``sources`` (retarded, or advanced if ``advanced``) at a probe
+    branch kinks where its crossing time is a source knot, since a source's
+    jerk jumps there.  Those probe times are the branch's advanced (for a
+    retarded field) or retarded crossings of the knot events (t_k, X_S(t_k)):
+    one light-cone solve per probe branch.
+    """
+    events = np.array([[t, *w.position(t)] for w in sources for t in w.knots()])
+    return [t for wp, _ in probe.branches()
+            for t in _light_cone_times(events, wp, advanced=not advanced).tolist()]
 
 
 def _lw_batch(events: np.ndarray, w: Worldline, *, advanced: bool = False) -> np.ndarray:

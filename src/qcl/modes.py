@@ -271,10 +271,7 @@ def random_mode_set(rng: np.random.Generator) -> ModeSet:
             ts = np.asarray(ts, dtype=float)
             env = np.sin(math.pi * np.clip(ts / t1, 0.0, 1.0)) ** 2
             phase = np.exp(1j * omegas[:, None] * ts[None, :])
-            poly = sum(
-                c[:, j][:, None] * np.cos(j * math.pi * ts / t1)[None, :]
-                for j in range(c.shape[1])
-            )
+            poly = c @ np.cos(np.arange(c.shape[1])[:, None] * math.pi * ts / t1)
             return env[None, :] * phase * poly
 
         return g

@@ -6,13 +6,14 @@ quadrature, gradients come from central differences, background
 phase terms from direct 1D quadrature of the potential along the
 branches, Gamma's integrand from all four branch combinations on
 3-vector positions and velocities, with no use of the mirror symmetry,
-and the causal margin from a scan of all four on a time grid.  The
-probe phase is kept as the loop with one potential call per branch that
-the stacked call replaced.  The smeared retarded kernel's closed form
-lives here too, because only the own-field reference uses it; it is
-tested against its momentum integral.  The implication function's
-analytic gradient and the pure-gauge background live here as well,
-because only tests use them.
+the momentum route's pass from both branches' complex exponentials,
+also without it, and the causal margin from a scan of all four on a
+time grid.  The probe phase is kept as the loop with one potential call
+per branch that the stacked call replaced.  The smeared retarded
+kernel's closed form lives here too, because only the own-field
+reference uses it; it is tested against its momentum integral.  The
+implication function's analytic gradient and the pure-gauge background
+live here as well, because only tests use them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from qcl.kernels import hadamard_dt_r
-from qcl.quadrature import adaptive_1d
+from qcl.quadrature import adaptive_1d, panel_gauss_nodes
 
 
 def hadamard_momentum(dt: float, r: float, sigma: float) -> float:
@@ -100,6 +101,43 @@ def gamma_four_term_integrand(pair, spec):
         return total
 
     return integrand
+
+
+def gamma_momentum_pass_two_branch(pair, spec, bump: int) -> float:
+    """One pass of ``functionals._gamma_momentum_pass`` from both branches.
+
+    The same nodes and chunks, but J(k, mu) is the weighted sum of
+    rho_R e^{i(k t - k mu d_R)} - rho_L e^{i(k t - k mu d_L)} over the time
+    nodes, with the left branch evaluated in its own right: no use of
+    d_L = -d_R, so the pass must agree with the cosine form to rounding.
+    """
+    pr, pl = pair.right, pair.left
+    a, b = pair.split_window
+    k_up = spec.k_up
+    t_panels = int(k_up * (b - a) / 6.0) + 8 + bump
+    tn, tw = panel_gauss_nodes(a, b, t_panels, 12)
+    k_panels = int(k_up * (b - a) / 6.0) + 8 + bump
+    kn, kw = panel_gauss_nodes(0.0, k_up, k_panels, 12)
+    mu_n = 48 + 3 * bump
+    mun, muw = np.polynomial.legendre.leggauss(mu_n)
+
+    dr, rr = pr.displacement(tn), pr.displacement_rate(tn)
+    dl, rl = pl.displacement(tn), pl.displacement_rate(tn)
+
+    total = 0.0
+    chunk = max(1, int(2.5e5 / (mu_n * tn.size)))
+    for i0 in range(0, kn.size, chunk):
+        ks = kn[i0:i0 + chunk]
+        kws = kw[i0:i0 + chunk]
+        phase_t = ks[:, None, None] * tn[None, None, :]
+        kmu = ks[:, None] * mun[None, :]
+        amp_r = rr[None, None, :] * np.exp(1j * (phase_t - kmu[:, :, None] * dr[None, None, :]))
+        amp_l = rl[None, None, :] * np.exp(1j * (phase_t - kmu[:, :, None] * dl[None, None, :]))
+        j_par = np.tensordot(amp_r - amp_l, tw, axes=(2, 0))
+        mod2 = (j_par.real ** 2 + j_par.imag ** 2) @ (muw * (1.0 - mun ** 2))
+        total += float(np.sum(kws * ks * np.exp(-(ks * spec.sigma) ** 2) * mod2))
+    q = pair.charge
+    return q * q * total / (16.0 * math.pi ** 2)
 
 
 def own_field_terms(pair, spec):

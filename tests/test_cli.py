@@ -58,6 +58,24 @@ def base_config():
     }
 
 
+def large_charge_config(particle, charge):
+    """A mutual layout where one large charge underflows an input of f.
+
+    A at charge 300 gives e^{-2 gamma_A} = 0.0; B at charge 2000 gives
+    e^{-phi_BA^2 / (8 gamma_A)} = 0.0.
+    """
+    split = {"L": 0.5, "t0": 0.3, "ramp": 0.9, "hold": 0.8}
+    cfg = {
+        "particles": {"A": {"charge": 1.0, "split": dict(split)},
+                      "B": {"charge": 1.0, "split": dict(split)}},
+        "geometry": {"D": 0.7},
+        "kernel": {"sigma": 0.07, "quad_tol": 1e-4},
+        "times": {"T": 3.2},
+    }
+    cfg["particles"][particle]["charge"] = charge
+    return cfg
+
+
 def write_config(tmp_path, cfg, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg), encoding="utf-8")
@@ -254,6 +272,17 @@ class TestRunCommand:
         assert row["D_B"] == "0"
         assert row["gamma_A"] == "0" and row["gamma_B"] == "0"
 
+    @pytest.mark.parametrize("particle, charge", [("A", 300.0), ("B", 2000.0)])
+    def test_underflowing_implication_inputs_exit_0(self, runner, tmp_path, particle, charge):
+        cfg = write_config(tmp_path, large_charge_config(particle, charge))
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["run", str(cfg), "--out-dir", str(out)])
+        assert result.exit_code == 0, result.output
+        assert math.isfinite(json.loads((out / "report.json").read_text())["derived"]["f_value"])
+        row = {k: float(v) for k, v in read_csv(out / "report.csv")[0].items() if k != "spacelike"}
+        assert row["gamma_A"] * row["gamma_B"] - row["phi_BA"] ** 2 / 16.0 > 0.0
+        assert 1.0 - row["V"] ** 2 - row["D_B"] ** 2 > 0.0
+
     def test_excursion_past_window_by_rounding_exits_1(self, runner, tmp_path):
         cfg_dict = base_config()
         cfg_dict["particles"]["A"]["split"] = {"L": 0.2, "t0": 0.98, "ramp": 0.9, "hold": 1.32}
@@ -441,6 +470,16 @@ class TestSweepCommand:
         assert result.exit_code == 0, result.output
         durations = [float(r["T_A"]) for r in read_csv(tmp_path / "s" / "sweep.csv")]
         assert durations == pytest.approx([0.6, 0.7, 0.8])
+
+    @pytest.mark.parametrize("particle, charge", [("A", 300.0), ("B", 2000.0)])
+    def test_underflowing_implication_inputs_write_rows(self, runner, tmp_path, particle,
+                                                         charge):
+        cfg = write_config(tmp_path, large_charge_config(particle, charge))
+        result = runner.invoke(main, ["sweep", str(cfg), "--vary", "geometry.D=0.7:0.9:2",
+                                      "--out-dir", str(tmp_path / "s")])
+        assert result.exit_code == 0, result.output
+        rows = read_csv(tmp_path / "s" / "sweep.csv")
+        assert [row["status"] for row in rows] == ["ok", "ok"]
 
     def test_malformed_vary_exits_1(self, runner, tmp_path):
         cfg = write_config(tmp_path, base_config())

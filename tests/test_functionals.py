@@ -11,7 +11,6 @@ from qcl.functionals import (
     DecoherenceReport,
     _branch_pairing_with_error,
     _commutator_with_error,
-    _cone_edges,
     _gamma_integrand,
     _gamma_with_error,
     _phi_pairing_with_error,
@@ -26,7 +25,7 @@ from qcl.functionals import (
     reusing_gamma,
 )
 from qcl.geometry import Scenario, causal_margin, make_branch_pair
-from qcl.kernels import KernelSpec, _lw_batch, coulomb_background
+from qcl.kernels import KernelSpec, _cone_edges, _lw_batch, coulomb_background
 from qcl.quadrature import NumericFailure, panel_gauss_nodes
 from qcl.quantum import rho_A
 
@@ -65,6 +64,21 @@ class TestGamma:
         a = gamma(pair, spec)
         b = gamma_momentum(pair, spec)
         assert abs(a - b) / a < 1e-4
+
+    def test_momentum_pass_matches_two_branch_oracle(self):
+        # The cosine form of J(k, mu) against the pass that evaluates both
+        # branches' complex exponentials.  Coarse passes (bump 0) on short
+        # splits keep the oracle cheap; sigma from 0.05 to 0.3, both signs.
+        cases = [(0.05, 0.3, 0.3, 0.0, -0.8), (0.07, 0.4, 0.4, 0.1, 1.3),
+                 (0.1, 0.5, 0.6, 0.3, -1.1), (0.15, 0.6, 0.7, 0.5, 1.6),
+                 (0.2, 0.7, 0.9, 0.4, -1.4), (0.3, 0.8, 1.0, 0.8, 0.9)]
+        for sigma, L, ramp, hold, q in cases:
+            pair = make_branch_pair("A", L, 0.3, ramp, hold, charge=q)
+            spec = KernelSpec(sigma=sigma)
+            value = qcl.functionals._gamma_momentum_pass(pair, spec, 0)
+            want = oracles.gamma_momentum_pass_two_branch(pair, spec, 0)
+            assert value > 0.0
+            assert abs(value - want) <= 1e-13 * want
 
 
 # (Gamma_A, Gamma_B) of mixed_scenarios(1818, 2, 2, 2) at quad_tol 1e-11:

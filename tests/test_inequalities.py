@@ -180,6 +180,19 @@ class TestAuditReport:
         want = f_xy(math.exp(-1.6), math.exp(-1.1**2 / (8.0 * 0.8)))
         assert out.f_value == want
 
+    def test_underflowing_x_is_its_limit(self):
+        # e^{-2 gamma_A} is 0.0 at gamma_A = 400, outside f_xy's domain;
+        # the closed form takes it as the limit X -> 0.
+        out = audit_report(self.rep(gamma_A=400.0, phi_BA=0.3), V=0.2, D=0.3)
+        assert out.f_value == 1.0 - math.exp(-0.3 ** 2 / 3200.0) * math.sin(0.15) ** 2
+        with pytest.raises(ValueError, match="defined on"):
+            f_xy(math.exp(-800.0), 1.0)
+
+    def test_underflowing_y_is_its_limit(self):
+        # phi_BA^2 / (8 gamma_A) = 800 > 745: Y = 0.0 and f = 1 - X exactly.
+        out = audit_report(self.rep(gamma_A=0.01, phi_BA=8.0), V=0.2, D=0.3)
+        assert out.f_value == 1.0 - math.exp(-0.02)
+
     def test_quad_error_widens_the_gate(self):
         r = self.rep(gamma_A=0.5, gamma_B=0.5, phi_BA=2.0 + 1e-7, quad_error=1e-6)
         out = audit_report(r, V=0.5, D=0.5)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-import qcl.functionals
 import qcl.kernels
 from qcl.functionals import build_report
 from qcl.geometry import Worldline, make_branch_pair
@@ -327,7 +326,6 @@ class TestLightConeSolver:
             return position(self, ts)
 
         monkeypatch.setattr(qcl.kernels, "_light_cone_times", counted_solve)
-        monkeypatch.setattr(qcl.functionals, "_light_cone_times", counted_solve)
         monkeypatch.setattr(Worldline, "position", counted_position)
         for s in scenarios:
             build_report(s)
