@@ -41,7 +41,8 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # Config parsing.  The schema is walked strictly: unknown keys are
 # rejected with their dotted path, so typos fail loudly instead of
-# silently falling back to defaults.
+# silently falling back to defaults.  A leaf is a number (float) or a
+# point [x, y, z]; an optional object may also be null or "none".
 
 _SCHEMA = {
     "particles": {
@@ -51,7 +52,7 @@ _SCHEMA = {
     "geometry": {"D": float},
     "kernel": {"sigma": float, "quad_tol": float},
     "times": {"T": float},
-    "background": None,  # validated by _validate_background
+    "background": {"coulomb": {"charge": float, "position": [float, float, float]}},
 }
 
 _OPTIONAL = {"kernel.quad_tol", "background"}
@@ -70,18 +71,22 @@ def _walk_schema(data, schema, path: str, out: dict) -> None:
                 continue
             raise ConfigError(f"{full}: missing required key")
         val = data[key]
-        if sub is None:
-            out.update(_validate_background(val))
-        elif isinstance(sub, dict):
+        if isinstance(sub, dict):
+            if full in _OPTIONAL and (val is None or val == "none"):
+                continue
             _walk_schema(val, sub, full, out)
-        elif sub is float:
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                raise ConfigError(f"{full}: expected a number, got {val!r}")
-            out[full] = _finite(val, full)
+        elif isinstance(sub, list):
+            if not isinstance(val, list) or len(val) != len(sub):
+                raise ConfigError(f"{full}: expected [x, y, z]")
+            out[full] = [_number(v, full) for v in val]
+        else:
+            out[full] = _number(val, full)
 
 
-def _finite(val, key: str) -> float:
-    """val as a float; NaN, an infinity or an int too large for a float is a ConfigError."""
+def _number(val, key: str) -> float:
+    """val as a float; a bool, a non-number, NaN, inf or a huge int is a ConfigError."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError(f"{key}: expected a number, got {val!r}")
     try:
         x = float(val)
     except OverflowError:
@@ -89,31 +94,6 @@ def _finite(val, key: str) -> float:
     if not math.isfinite(x):
         raise ConfigError(f"{key}: expected a finite number")
     return x
-
-
-def _validate_background(raw) -> dict:
-    """Flat keys of the background: none for "none", else the Coulomb charge and position."""
-    if raw is None or raw == "none":
-        return {}
-    if not isinstance(raw, dict) or set(raw) != {"coulomb"}:
-        raise ConfigError(
-            'background: expected "none" or {"coulomb": {"charge": q, "position": [x, y, z]}}'
-        )
-    c = raw["coulomb"]
-    if not isinstance(c, dict) or set(c) - {"charge", "position"}:
-        raise ConfigError("background.coulomb: keys must be charge and position")
-    if "charge" not in c or "position" not in c:
-        raise ConfigError("background.coulomb: charge and position are required")
-    charge = c["charge"]
-    pos = c["position"]
-    if isinstance(charge, bool) or not isinstance(charge, (int, float)):
-        raise ConfigError("background.coulomb.charge: expected a number")
-    if (not isinstance(pos, list) or len(pos) != 3
-            or any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in pos)):
-        raise ConfigError("background.coulomb.position: expected [x, y, z]")
-    return {"background.coulomb.charge": _finite(charge, "background.coulomb.charge"),
-            "background.coulomb.position": [_finite(p, "background.coulomb.position")
-                                            for p in pos]}
 
 
 def parse_config(raw: dict) -> dict:
@@ -295,12 +275,7 @@ def run(config: Path, out_dir: Path) -> None:
 
 
 def _csv(rows) -> str:
-    lines = []
-    for i, row in enumerate(rows):
-        if i == 0:
-            lines.append(",".join(row))
-        else:
-            lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
+    lines = [",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -390,7 +365,7 @@ def _parse_vary(vary: str) -> tuple[str, np.ndarray]:
     with np.errstate(all="ignore"):
         grid = np.linspace(start, stop, steps) if steps > 1 else np.array([start])
     for value in grid:
-        _finite(value, key)
+        _number(value, key)
     return key, grid
 
 

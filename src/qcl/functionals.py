@@ -166,10 +166,9 @@ def _gamma_momentum_pass(pair: BranchPair, spec: KernelSpec, bump: int) -> float
     # Node counts scale with the largest phase k_up * t across the window
     # (time direction) and k_up * displacement (angle direction); ``bump``
     # raises every count so two passes give an independent error check.
-    t_panels = int(k_up * (b - a) / 6.0) + 8 + bump
-    tn, tw = panel_gauss_nodes(a, b, t_panels, 12)
-    k_panels = int(k_up * (b - a) / 6.0) + 8 + bump
-    kn, kw = panel_gauss_nodes(0.0, k_up, k_panels, 12)
+    panels = int(k_up * (b - a) / 6.0) + 8 + bump
+    tn, tw = panel_gauss_nodes(a, b, panels, 12)
+    kn, kw = panel_gauss_nodes(0.0, k_up, panels, 12)
     mu_n = 48 + 3 * bump
     mun, muw = np.polynomial.legendre.leggauss(mu_n)
 
@@ -250,25 +249,6 @@ def phi_self(pair: BranchPair, spec: KernelSpec, background=None) -> float:
 # Pairing phases between two particles (bare retarded potentials).
 
 
-def _probe_integral(probe: BranchPair, potential, spec: KernelSpec, name: str,
-                    edges=()) -> tuple[float, float]:
-    """The integral of :func:`_probe_phase` before its factor q_probe, with its error."""
-    a, b = probe.split_window
-    branches = probe.branches()
-
-    def integrand(ts: np.ndarray) -> np.ndarray:
-        ev = np.concatenate([np.concatenate([ts[:, None], wp.position(ts)], axis=1)
-                             for wp, _ in branches])
-        A = potential(ev).reshape(2, ts.size, 4)
-        total = np.zeros_like(ts)
-        for (wp, sp), Ap in zip(branches, A):
-            total += sp * (Ap[:, 0] - np.sum(wp.velocity(ts) * Ap[:, 1:], axis=-1))
-        return total
-
-    return adaptive_1d(integrand, a, b, tol=spec.quad_tol, knots=[*probe.right.knots(), *edges],
-                       name=name)
-
-
 def _probe_phase(probe: BranchPair, potential, spec: KernelSpec, name: str,
                  edges=()) -> tuple[float, float]:
     """Phase of the probe's branch difference in a four-potential, with its error.
@@ -283,24 +263,58 @@ def _probe_phase(probe: BranchPair, potential, spec: KernelSpec, name: str,
     charge.
 
     Panel edges sit at the probe's own knots and at ``edges``.  A
-    worldline potential passes :func:`_cone_edges` there: the probe times
-    whose light-cone crossing lands on a source knot, where the integrand
-    kinks and a panel straddling the kink could make |I_16 - I_8| smaller
-    than its true error.  A background field passes none.
+    worldline field gets its edges from :func:`_field_phase`; a
+    background field has none.
     """
-    val, err = _probe_integral(probe, potential, spec, name, edges)
+    a, b = probe.split_window
+    branches = probe.branches()
+
+    def integrand(ts: np.ndarray) -> np.ndarray:
+        ev = np.concatenate([np.concatenate([ts[:, None], wp.position(ts)], axis=1)
+                             for wp, _ in branches])
+        A = potential(ev).reshape(2, ts.size, 4)
+        total = np.zeros_like(ts)
+        for (wp, sp), Ap in zip(branches, A):
+            total += sp * (Ap[:, 0] - np.sum(wp.velocity(ts) * Ap[:, 1:], axis=-1))
+        return total
+
+    val, err = adaptive_1d(integrand, a, b, tol=spec.quad_tol,
+                           knots=[*probe.right.knots(), *edges], name=name)
     q = probe.charge
     return q * val, abs(q) * err
+
+
+def _field_phase(probe: BranchPair, terms, spec: KernelSpec, name: str) -> tuple[float, float]:
+    """:func:`_probe_phase` in the bare field sum_i s_i A_i of source worldlines, with its error.
+
+    ``terms`` is ((worldline, s_i, advanced), ...) with s_i = +-1.0: the
+    Lienard-Wiechert potential of each worldline, retarded or advanced,
+    added in order, so ``a - b`` and ``((a - b) - c) + d`` keep their
+    rounding.  The panel edges come from :func:`_cone_edges`, one call per
+    field direction present: the probe times whose light-cone crossing
+    lands on a source knot, where the integrand kinks and a panel
+    straddling the kink could make |I_16 - I_8| smaller than its true
+    error.
+    """
+
+    def potential(ev: np.ndarray) -> np.ndarray:
+        (w, sign, advanced), *rest = terms
+        total = sign * _lw_batch(ev, w, advanced=advanced)
+        for w, sign, advanced in rest:
+            total = total + sign * _lw_batch(ev, w, advanced=advanced)
+        return total
+
+    edges = []
+    for advanced in sorted({adv for _, _, adv in terms}):
+        edges += _cone_edges(probe, tuple(w for w, _, adv in terms if adv == advanced), advanced)
+    return _probe_phase(probe, potential, spec, name, edges)
 
 
 def _branch_pairing_with_error(
     probe: BranchPair, source: Worldline, spec: KernelSpec
 ) -> tuple[float, float]:
     """Phase of the probe's branch difference in one source branch's bare retarded field."""
-    return _probe_phase(
-        probe, lambda ev: _lw_batch(ev, source), spec, f"pairing[{probe.label}]",
-        _cone_edges(probe, (source,), advanced=False),
-    )
+    return _field_phase(probe, ((source, 1.0, False),), spec, f"pairing[{probe.label}]")
 
 
 def _pairings_with_error(
@@ -313,20 +327,18 @@ def _pairings_with_error(
     causal margin is also positive both integrals are exactly +0.0: the
     source rests at its base at every crossing, bitwise equidistant from
     the two probe branches.  Any other layout integrates both branches.
+    So does a mirror layout whose right-branch phase q * v is a zero: the
+    sign of q * (0.0 - v) then depends on v, which q * v no longer shows.
     """
-    if not _mirrored(probe, source):
-        return (_branch_pairing_with_error(probe, source.right, spec),
-                _branch_pairing_with_error(probe, source.left, spec))
-    if causal_margin(probe, source) > 0.0:
-        val, err = 0.0, 0.0
-    else:
-        # The left branch's knots give the same edges, bitwise, in a mirror layout.
-        val, err = _probe_integral(probe, lambda ev: _lw_batch(ev, source.right), spec,
-                                   f"pairing[{probe.label}]",
-                                   _cone_edges(probe, (source.right,), advanced=False))
     q = probe.charge
-    # 0.0 - val, not -val: a zero integral is +0.0 for both source branches.
-    return (q * val, abs(q) * err), (q * (0.0 - val), abs(q) * err)
+    mirrored = _mirrored(probe, source)
+    if mirrored and causal_margin(probe, source) > 0.0:
+        return (q * 0.0, 0.0), (q * 0.0, 0.0)
+    right, err = _branch_pairing_with_error(probe, source.right, spec)
+    if mirrored and right:
+        # q * (0.0 - v) is -(q * v) for any nonzero v.
+        return (right, err), (-right, err)
+    return (right, err), _branch_pairing_with_error(probe, source.left, spec)
 
 
 def _phi_pairing_with_error(
@@ -334,13 +346,8 @@ def _phi_pairing_with_error(
 ) -> tuple[float, float]:
     if causal_margin(probe, source) > 0.0:
         return 0.0, 0.0
-
-    def difference(ev: np.ndarray) -> np.ndarray:
-        return _lw_batch(ev, source.right) - _lw_batch(ev, source.left)
-
-    name = f"phi_pairing[{probe.label},{source.label}]"
-    edges = _cone_edges(probe, (source.right, source.left), advanced=False)
-    return _probe_phase(probe, difference, spec, name, edges)
+    terms = ((source.right, 1.0, False), (source.left, -1.0, False))
+    return _field_phase(probe, terms, spec, f"phi_pairing[{probe.label},{source.label}]")
 
 
 def phi_pairing(probe: BranchPair, source: BranchPair, spec: KernelSpec) -> float:
@@ -360,18 +367,9 @@ def _one_sided_commutator(
     probe: BranchPair, source: BranchPair, spec: KernelSpec
 ) -> tuple[float, float]:
     """The probe-window integral of the source's advanced-minus-retarded field, with its error."""
-
-    def difference(ev: np.ndarray) -> np.ndarray:
-        return (
-            _lw_batch(ev, source.right, advanced=True)
-            - _lw_batch(ev, source.left, advanced=True)
-            - _lw_batch(ev, source.right)
-            + _lw_batch(ev, source.left)
-        )
-
-    sources = (source.right, source.left)
-    edges = [t for advanced in (False, True) for t in _cone_edges(probe, sources, advanced)]
-    return _probe_phase(probe, difference, spec, "commutator", edges)
+    right, left = source.right, source.left
+    terms = ((right, 1.0, True), (left, -1.0, True), (right, -1.0, False), (left, 1.0, False))
+    return _field_phase(probe, terms, spec, "commutator")
 
 
 def _commutator_with_error(

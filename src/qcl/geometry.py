@@ -155,10 +155,6 @@ class BranchPair:
     def charge(self) -> float:
         return self.right.charge
 
-    @property
-    def window(self) -> tuple[float, float]:
-        return self.right.window
-
     def branches(self) -> tuple[tuple[Worldline, float], tuple[Worldline, float]]:
         """Branch worldlines with their amplitude signs (+1 right, -1 left)."""
         return (self.right, +1.0), (self.left, -1.0)

@@ -76,23 +76,17 @@ def robertson_residual(gamma_A, gamma_B, phi_BA):
 def f_xy(X, Y):
     """Implication function f(X, Y) = 1 - X - Y sin^2(sqrt(ln X ln Y)) on (0, 1]^2.
 
-    At X = 1 the value is exactly -Y sin^2(0) = 0 for every Y, and at
-    Y = 1 it reduces to 1 - X; both edges are handled without evaluating
-    the logarithm product where one factor vanishes.  The argument of the
-    square root is clamped at zero against rounding (ln X ln Y >= 0
-    throughout the domain).
+    ln 1 is exactly 0.0, so on both edges sin^2 of the root is exactly
+    0.0 and the value is exactly 1 - X: 0 for every Y at X = 1.  The
+    argument of the square root is clamped at zero against rounding
+    (ln X ln Y >= 0 throughout the domain).
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if np.any((X <= 0.0) | (X > 1.0)) or np.any((Y <= 0.0) | (Y > 1.0)):
         raise ValueError("f is defined on (0, 1] x (0, 1]")
-    X, Y = np.broadcast_arrays(X, Y)
-    edge = (X == 1.0) | (Y == 1.0)
-    lx = np.log(np.where(edge, 0.5, X))
-    ly = np.log(np.where(edge, 0.5, Y))
-    s = np.sqrt(np.maximum(lx * ly, 0.0))
+    s = np.sqrt(np.maximum(np.log(X) * np.log(Y), 0.0))
     out = 1.0 - X - Y * np.sin(s) ** 2
-    out = np.where(edge, 1.0 - X, out)
     return out if out.ndim else float(out)
 
 

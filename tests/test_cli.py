@@ -175,11 +175,25 @@ class TestParseConfig:
         {"coulomb": {"charge": "q", "position": [1.0, 0.0, 0.0]}},
         {"solenoid": {}},
         [1, 2, 3],
+        {"coulomb": {"charge": 0.5, "position": [1.0, True, 0.0]}},
+        {"coulomb": {"charge": 0.5, "position": [1.0, "0", 0.0]}},
+        {"coulomb": {"charge": 0.5, "position": {"x": 1.0, "y": 0.0, "z": 0.0}}},
     ])
     def test_malformed_background_rejected(self, bad):
         cfg = base_config()
         cfg["background"] = bad
         with pytest.raises(ConfigError, match="background"):
+            parse_config(cfg)
+
+    def test_background_null_parses_like_none(self):
+        cfg = base_config()
+        cfg["background"] = None
+        assert parse_config(cfg) == parse_config(base_config())
+
+    def test_unknown_coulomb_key_reported_with_dotted_path(self):
+        cfg = base_config()
+        cfg["background"] = {"coulomb": {"charge": 0.5, "position": [1.0, 0.0, 0.0], "spin": 1}}
+        with pytest.raises(ConfigError, match="background.coulomb.spin: unknown key"):
             parse_config(cfg)
 
 

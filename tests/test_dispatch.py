@@ -37,6 +37,9 @@ PROMISES = [
     "test_functionals.py::TestGammaMirrorPath::test_bitwise_invariant_under_axis_and_rest_point",
     # hadamard_dt_r is even in the time lag.
     "test_kernels.py::TestHadamardKernel::test_even_in_time_lag",
+    # f is exactly 1 - X on its edges, where ln 1 is 0.0.
+    "test_inequalities.py::TestImplicationFunction::test_left_edge_is_exactly_zero",
+    "test_inequalities.py::TestImplicationFunction::test_top_edge_is_one_minus_x",
 ]
 
 

@@ -13,6 +13,8 @@ from qcl.functionals import (
     _commutator_with_error,
     _gamma_integrand,
     _gamma_with_error,
+    _one_sided_commutator,
+    _pairings_with_error,
     _phi_pairing_with_error,
     _phi_self_with_error,
     _probe_phase,
@@ -25,7 +27,7 @@ from qcl.functionals import (
     reusing_gamma,
 )
 from qcl.geometry import Scenario, causal_margin, make_branch_pair
-from qcl.kernels import KernelSpec, _cone_edges, _lw_batch, coulomb_background
+from qcl.kernels import KernelSpec, _cone_edges, _light_cone_times, _lw_batch, coulomb_background
 from qcl.quadrature import NumericFailure, panel_gauss_nodes
 from qcl.quantum import rho_A
 
@@ -328,7 +330,7 @@ def _relaid(pair, base, axis, **split):
     p = pair.right
     kw = {"L": 2.0 * p.amplitude, "ramp": p.ramp, "hold": p.hold, **split}
     return make_branch_pair(pair.label, kw["L"], p.t0, kw["ramp"], kw["hold"],
-                            charge=pair.charge, base=base, axis=axis, window=pair.window)
+                            charge=pair.charge, base=base, axis=axis, window=pair.right.window)
 
 
 def _off_axis(s):
@@ -412,6 +414,59 @@ class TestProbePhaseStacking:
         pair = make_branch_pair("A", 0.7, 0.4, 0.8, 1.0, charge=1.1)
         self._assert_bitwise(pair, coulomb_background(0.9, (0.3, 0.5, 0.0), spec), spec)
 
+    # Each pairing hands _field_phase its field as a term tuple.  Value and
+    # error must be bitwise _probe_phase's on the same potential and panel
+    # edges built by hand.
+
+    @staticmethod
+    def _assert_door(got, probe, potential, spec, sources_by_direction):
+        edges = [t for advanced, sources in sources_by_direction
+                 for t in _cone_edges(probe, sources, advanced)]
+        want = _probe_phase(probe, potential, spec, "probe", edges)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    @pytest.mark.parametrize("layout", [lambda s: s, _off_axis], ids=["standard", "off_axis"])
+    @pytest.mark.parametrize("family", [one_way_scenario, mutual_scenario])
+    def test_door_one_branch(self, family, layout):
+        s = layout(family(np.random.default_rng(5)))
+        for probe, source in ((s.pair_A, s.pair_B), (s.pair_B, s.pair_A)):
+            for w in (source.right, source.left):
+                got = _branch_pairing_with_error(probe, w, s.kernel)
+                self._assert_door(got, probe, lambda ev: _lw_batch(ev, w), s.kernel,
+                                  [(False, (w,))])
+
+    @pytest.mark.parametrize("negate", [False, True], ids=["positive", "negative"])
+    def test_door_mirror_right(self, negate):
+        s = mutual_scenario(np.random.default_rng(5))
+        if negate:
+            s = dataclasses.replace(s, pair_A=_negated(s.pair_A), pair_B=_negated(s.pair_B))
+        for probe, source in ((s.pair_A, s.pair_B), (s.pair_B, s.pair_A)):
+            right, left = _pairings_with_error(probe, source, s.kernel)
+            w = source.right
+            self._assert_door(right, probe, lambda ev: _lw_batch(ev, w), s.kernel,
+                              [(False, (w,))])
+            assert right[0] != 0.0
+            assert [x.hex() for x in left] == [(0.0 - right[0]).hex(), right[1].hex()]
+
+    def test_door_source_difference(self):
+        s = mutual_scenario(np.random.default_rng(5))
+        a, b = s.pair_A, s.pair_B
+        got = _phi_pairing_with_error(a, b, s.kernel)
+        self._assert_door(got, a, lambda ev: _lw_batch(ev, b.right) - _lw_batch(ev, b.left),
+                          s.kernel, [(False, (b.right, b.left))])
+
+    def test_door_advanced_minus_retarded(self):
+        s = mutual_scenario(np.random.default_rng(5))
+        a, b = s.pair_A, s.pair_B
+
+        def potential(ev):
+            return (_lw_batch(ev, b.right, advanced=True) - _lw_batch(ev, b.left, advanced=True)
+                    - _lw_batch(ev, b.right) + _lw_batch(ev, b.left))
+
+        got = _one_sided_commutator(a, b, s.kernel)
+        sources = (b.right, b.left)
+        self._assert_door(got, a, potential, s.kernel, [(False, sources), (True, sources)])
+
 
 def _four_integral_report(s):
     """build_report's fields with each per-branch pairing integrated on its own."""
@@ -479,6 +534,22 @@ class TestMirrorShortcuts:
     ], ids=["offset_0.7", "offset_1.9", "off_axis"])
     def test_other_layouts_integrate_all_four(self, layout, monkeypatch):
         s = layout(mutual_scenario(np.random.default_rng(7)))
+        rep, n, want = self._report_and_pairing_integrals(s, monkeypatch)
+        assert n == 4
+        assert [repr(x) for x in dataclasses.astuple(rep)] == \
+            [repr(x) for x in dataclasses.astuple(want)]
+
+    @pytest.mark.parametrize("case", ["uncharged_probe", "unsplit_source"])
+    def test_zero_right_phase_integrates_the_left(self, case, monkeypatch):
+        # Every pairing is a zero here, in both directions.  A zero q * v can
+        # hide the sign of q * (0.0 - v) (q = 0), so both branches are integrated.
+        s = mutual_scenario(np.random.default_rng(0))
+        a, b = s.pair_A, s.pair_B
+        if case == "uncharged_probe":
+            s = dataclasses.replace(s, pair_A=dataclasses.replace(
+                a, right=dataclasses.replace(a.right, charge=0.0)))
+        else:
+            s = dataclasses.replace(s, pair_B=_relaid(b, b.right.base, b.right.axis, L=0.0))
         rep, n, want = self._report_and_pairing_integrals(s, monkeypatch)
         assert n == 4
         assert [repr(x) for x in dataclasses.astuple(rep)] == \
@@ -578,6 +649,39 @@ class TestCausalKnotEdges:
             assert [x.hex() for x in right] == [x.hex() for x in left]
             a, b = probe.split_window
             inside += sum(a < t < b for t in right)
+        assert inside > 0
+
+
+class TestFieldPhaseKnots:
+    # Every probe time whose light-cone crossing lands on a knot of a term's
+    # source reaches adaptive_1d as a knot, for each field direction used.
+
+    @pytest.mark.parametrize("layout", [lambda s: s, _off_axis], ids=["standard", "off_axis"])
+    def test_knots_hold_every_term_crossing(self, layout, monkeypatch):
+        s = layout(mutual_scenario(np.random.default_rng(3)))
+        a, b = s.pair_A, s.pair_B
+        knots = {}
+        real = qcl.functionals.adaptive_1d
+
+        def capture(f, *args, name, **kwargs):
+            knots[name] = {float(t).hex() for t in kwargs["knots"]}
+            return real(f, *args, name=name, **kwargs)
+
+        monkeypatch.setattr(qcl.functionals, "adaptive_1d", capture)
+        _branch_pairing_with_error(a, b.left, s.kernel)
+        phi_pairing(a, b, s.kernel)
+        _one_sided_commutator(a, b, s.kernel)
+        both = [(b.right, False), (b.left, False)]
+        terms = {"pairing[A]": [(b.left, False)], "phi_pairing[A,B]": both,
+                 "commutator": [(b.right, True), (b.left, True), *both]}
+        inside = 0
+        for name, sources in terms.items():
+            for w, advanced in sources:
+                events = np.array([[t, *w.position(t)] for t in w.knots()])
+                for wp, _ in a.branches():
+                    for t in _light_cone_times(events, wp, advanced=not advanced):
+                        assert float(t).hex() in knots[name], (name, advanced)
+                        inside += a.split_window[0] < t < a.split_window[1]
         assert inside > 0
 
 

@@ -134,7 +134,7 @@ class TestBranchPair:
     def test_branches_coincide_outside_split_window(self):
         pair = make_branch_pair("A", 0.7, 0.6, 0.9, 1.1, charge=1.3)
         a, b = pair.split_window
-        w0, w1 = pair.window
+        w0, w1 = pair.right.window
         ts = np.concatenate([np.linspace(w0 - 1.0, a, 40)[:-1], np.linspace(b, w1 + 1.0, 40)[1:]])
         assert np.array_equal(pair.right.position(ts), pair.left.position(ts))
         assert np.array_equal(pair.right.velocity(ts), pair.left.velocity(ts))
@@ -175,7 +175,7 @@ class TestBranchPair:
         t_end = 0.4 + 2 * 0.6 + 0.8
         pair = BranchPair("A", Worldline(1.0, (0.4, t_end), (0, 0, 0), (0, 1, 0),
                                          0.25, 0.4, 0.6, 0.8))
-        assert pair.split_window == pair.window == (0.4, 0.4 + 2 * 0.6 + 0.8)
+        assert pair.split_window == pair.right.window == (0.4, 0.4 + 2 * 0.6 + 0.8)
 
     def test_static_degenerate_pair_is_clean(self):
         # A zero split is still a pair: its branches coincide at all times.
