@@ -387,7 +387,7 @@ def audit(samples: int, seed: int, grid_n: int, out_dir: Path) -> None:
     implication function dips below -1e-12 anywhere on the grid.
     """
     if samples < 1 or grid_n < 2:
-        click.echo("input error: --samples and --grid-n must be positive", err=True)
+        click.echo("input error: --samples must be at least 1 and --grid-n at least 2", err=True)
         raise SystemExit(1)
     rng = np.random.default_rng(seed)
     ga = 10.0 ** rng.uniform(-3.0, 0.7, size=samples)
@@ -415,30 +415,29 @@ def audit(samples: int, seed: int, grid_n: int, out_dir: Path) -> None:
 
 
 def _write_audit_csv(path: Path, rows: np.ndarray) -> None:
-    header = "gamma_A,gamma_B,phi_BA,robertson_residual,bound_residual,pass"
-    cols = [rows["gamma_A"], rows["gamma_B"], rows["phi_BA"],
-            rows["robertson_residual"], rows["bound_residual"]]
-    body = np.column_stack(cols)
-    lines = [header]
-    ok = rows["ok"]
-    for i in range(body.shape[0]):
-        nums = ",".join("%.17g" % v for v in body[i])
-        lines.append(f"{nums},{'true' if ok[i] else 'false'}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    # One %-template per line over each block's Python floats, written as
+    # it is made: the default audit is 1e5 lines, about 11 MB of text.
+    line = "%.17g,%.17g,%.17g,%.17g,%.17g,%s\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write("gamma_A,gamma_B,phi_BA,robertson_residual,bound_residual,pass\n")
+        for start in range(0, len(rows), 4096):
+            block = rows[start:start + 4096]
+            cols = [block[name].tolist() for name in
+                    ("gamma_A", "gamma_B", "phi_BA", "robertson_residual", "bound_residual")]
+            cols.append(["true" if ok else "false" for ok in block["ok"].tolist()])
+            f.write("".join(map(line.__mod__, zip(*cols))))
 
 
 def _write_grid_csv(path: Path, xs: np.ndarray, ys: np.ndarray, F: np.ndarray) -> None:
-    # The default grid is a million rows; format each axis once and
-    # stream row blocks instead of formatting three floats per line.
-    xs_s = ["%.17g" % v for v in xs]
-    ys_s = ["%.17g" % v for v in ys]
-    blocks = ["X,Y,f"]
-    for i, xi in enumerate(xs_s):
-        row = F[i]
-        blocks.append(
-            "\n".join(f"{xi},{ys_s[j]},{'%.17g' % row[j]}" for j in range(len(ys_s)))
-        )
-    path.write_text("\n".join(blocks) + "\n", encoding="utf-8", newline="\n")
+    # The default grid is a million lines, about 60 MB.  Each axis is
+    # formatted once; grid row i is one template, "x_i,y_j,%.17g\n" over j,
+    # filled with F[i] and written before the next row is made.
+    tails = ["%.17g,%%.17g\n" % y for y in ys.tolist()]
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write("X,Y,f\n")
+        for x, row in zip(xs.tolist(), F):
+            head = "%.17g," % x
+            f.write((head + head.join(tails)) % tuple(row.tolist()))
 
 
 if __name__ == "__main__":

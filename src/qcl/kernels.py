@@ -8,7 +8,8 @@ integral
 
     int_0^inf dk exp(-sigma^2 k^2) sin(a k) = F(a / (2 sigma)) / sigma,
 
-where F is Dawson's integral (scipy.special.dawsn).
+where F is Dawson's integral (scipy.special.dawsn).  scipy.special loads
+at the first kernel call, not on import: ``qcl audit`` never needs it.
 
 Sign and index conventions.  With signature (+, -, -, -), the symmetric
 (Hadamard) two-point tensor of the gauge field in Feynman gauge is
@@ -32,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import dawsn, erf
 
 from .geometry import BranchPair, Worldline
 
@@ -94,6 +94,9 @@ def hadamard_dt_r(dt, r, spec: KernelSpec):
     Even in dt (bitwise), positive at the origin, and falling like
     1 / (r^2 - dt^2) far from the light cone.
     """
+    # scipy.special loads here, not on import: qcl audit never calls a kernel.
+    from scipy.special import dawsn
+
     s = spec.sigma
     dt, r = np.broadcast_arrays(np.asarray(dt, dtype=float), np.asarray(r, dtype=float))
     near = r < 1e-2 * s
@@ -121,6 +124,8 @@ def smeared_coulomb(r, charge: float, spec: KernelSpec):
     (q / 4 pi r) erf(r / 2 sigma): finite at the origin (q / (4 pi^(3/2) sigma)),
     indistinguishable from the bare Coulomb potential for r >> sigma.
     """
+    from scipy.special import erf
+
     s = spec.sigma
     r = np.asarray(r, dtype=float)
     small = r < 1e-7 * s

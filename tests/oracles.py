@@ -13,12 +13,15 @@ per branch that the stacked call replaced.  The smeared retarded
 kernel's closed form lives here too, because only the own-field
 reference uses it; it is tested against its momentum integral.  The
 implication function's analytic gradient and the pure-gauge background
-live here as well, because only tests use them.
+live here as well, because only tests use them.  The audit's two CSV
+writers are kept in their one-value-at-a-time form, as the byte
+reference for the streamed writers in ``qcl.cli``.
 """
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
@@ -319,3 +322,30 @@ def pure_gauge_background(chi_t, chi_grad):
         return out
 
     return field
+
+
+def _write_audit_csv(path: Path, rows: np.ndarray) -> None:
+    header = "gamma_A,gamma_B,phi_BA,robertson_residual,bound_residual,pass"
+    cols = [rows["gamma_A"], rows["gamma_B"], rows["phi_BA"],
+            rows["robertson_residual"], rows["bound_residual"]]
+    body = np.column_stack(cols)
+    lines = [header]
+    ok = rows["ok"]
+    for i in range(body.shape[0]):
+        nums = ",".join("%.17g" % v for v in body[i])
+        lines.append(f"{nums},{'true' if ok[i] else 'false'}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def _write_grid_csv(path: Path, xs: np.ndarray, ys: np.ndarray, F: np.ndarray) -> None:
+    # The default grid is a million rows; format each axis once and
+    # stream row blocks instead of formatting three floats per line.
+    xs_s = ["%.17g" % v for v in xs]
+    ys_s = ["%.17g" % v for v in ys]
+    blocks = ["X,Y,f"]
+    for i, xi in enumerate(xs_s):
+        row = F[i]
+        blocks.append(
+            "\n".join(f"{xi},{ys_s[j]},{'%.17g' % row[j]}" for j in range(len(ys_s)))
+        )
+    path.write_text("\n".join(blocks) + "\n", encoding="utf-8", newline="\n")

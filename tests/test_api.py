@@ -33,6 +33,21 @@ def test_import_leaves_scipy_integrate_unloaded():
     assert out.stdout.strip() == "[False, False]"
 
 
+def test_audit_leaves_scipy_special_unloaded(tmp_path):
+    # Only the kernels need scipy.special, and they import it at their
+    # first call; qcl audit calls none, so it never pays for the import.
+    src = os.path.dirname(os.path.dirname(qcl.__file__))
+    args = ["audit", "--samples", "50", "--grid-n", "8", "--out-dir", str(tmp_path)]
+    code = (f"import sys; sys.path.insert(0, {src!r}); import qcl, qcl.cli; "
+            "print('scipy.special' in sys.modules); "
+            f"qcl.cli.main({args!r}, standalone_mode=False); "
+            "print('scipy.special' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    before, summary, after = out.stdout.splitlines()
+    assert summary.startswith("audit: 50 triples, 0 violations")
+    assert (before, after) == ("False", "False")
+
+
 # Every (module, attribute) the benchmark's tracer wraps by name.  The tracer
 # skips a name it cannot find, so a rename would silently zero its layer.
 TRACED = {

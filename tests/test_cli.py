@@ -17,6 +17,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -26,14 +27,17 @@ from qcl.cli import (
     ConfigError,
     _apply_vary,
     _parse_vary,
+    _write_audit_csv,
+    _write_grid_csv,
     main,
     parse_config,
     scenario_from_config,
 )
 from qcl.functionals import build_report, gamma
-from qcl.inequalities import AuditResult
+from qcl.inequalities import AuditResult, f_grid, implication_audit
 from qcl.quadrature import NumericFailure
 
+import oracles
 from conftest import count_adaptive
 
 
@@ -671,12 +675,15 @@ class TestAuditCommand:
         assert min(f_vals) >= -1e-12
 
     def test_rejects_degenerate_sizes(self, runner, tmp_path):
+        message = "input error: --samples must be at least 1 and --grid-n at least 2"
         result = runner.invoke(main, ["audit", "--samples", "0",
                                       "--out-dir", str(tmp_path)])
         assert result.exit_code == 1
+        assert message in result.stderr
         result = runner.invoke(main, ["audit", "--grid-n", "1",
                                       "--out-dir", str(tmp_path)])
         assert result.exit_code == 1
+        assert message in result.stderr
 
     def test_negative_grid_dip_exits_2(self, runner, tmp_path, monkeypatch):
         from qcl.inequalities import f_grid as real_grid
@@ -691,6 +698,38 @@ class TestAuditCommand:
         result = runner.invoke(main, ["audit", "--samples", "50", "--grid-n", "8",
                                       "--out-dir", str(tmp_path)])
         assert result.exit_code == 2
+
+
+def _audit_rows(samples, seed):
+    rng = np.random.default_rng(seed)
+    ga = 10.0 ** rng.uniform(-3.0, 0.7, size=samples)
+    gb = 10.0 ** rng.uniform(-3.0, 0.7, size=samples)
+    phi = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=samples)
+    return implication_audit(np.column_stack([ga, gb, phi]))
+
+
+class TestAuditWritersMatchOracle:
+    # The writers in qcl.cli must give the bytes of the one-value-at-a-time
+    # writers kept in tests/oracles.py, across block edges and odd values.
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("samples", [1, 7, 4097])
+    def test_audit_csv(self, tmp_path, samples, seed):
+        rows = _audit_rows(samples, seed)
+        rows["ok"][::3] = False  # no real audit writes "false"
+        rows["phi_BA"][-1] = -0.0
+        rows["bound_residual"][0] = 5e-324
+        _write_audit_csv(tmp_path / "new.csv", rows)
+        oracles._write_audit_csv(tmp_path / "old.csv", rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 37])
+    def test_grid_csv(self, tmp_path, n):
+        xs, ys, F = f_grid(n)
+        F[0, -1] = -0.0
+        F[-1, 0] = 5e-324
+        _write_grid_csv(tmp_path / "new.csv", xs, ys, F)
+        oracles._write_grid_csv(tmp_path / "old.csv", xs, ys, F)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestEntryPoints:
