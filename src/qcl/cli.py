@@ -6,8 +6,8 @@ external plotting and diffing.  All numeric output is written with 17
 significant digits and fixed field order, so identical inputs produce
 byte-identical files.
 
-Exit codes: 0 success, 1 malformed input, 2 an audited inequality
-failed, 3 a quadrature did not converge.
+Exit codes: 0 success, 1 malformed input or worldlines that meet, 2 an
+audited inequality failed, 3 a quadrature did not converge.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .functionals import build_report, reusing_gamma
 from .geometry import Scenario, make_branch_pair
 from .inequalities import audit_report, f_grid, implication_audit
-from .kernels import KernelSpec, coulomb_background
+from .kernels import KernelSpec, SingularityError, coulomb_background
 from .quadrature import NumericFailure
 from .quantum import distinguishability, rho_A, rho_B_conditional, visibility
 
@@ -185,22 +185,12 @@ def _matrix_blob(m: np.ndarray) -> dict:
     }
 
 
-def _report_row(flat: dict, report, V: float, D_B: float, audit) -> dict:
-    return {
-        "D": flat["geometry.D"],
-        "T_A": _split_duration(flat, "A"),
-        "T_B": _split_duration(flat, "B"),
-        "sigma": flat["kernel.sigma"],
-        "gamma_A": report.gamma_A,
-        "gamma_B": report.gamma_B,
-        "phi_AB": report.phi_AB,
-        "phi_BA": report.phi_BA,
-        "V": V,
-        "D_B": D_B,
-        "robertson_residual": audit.robertson_residual,
-        "complementarity_residual": audit.complementarity_residual,
-        "spacelike": report.spacelike,
-    }
+def _report_row(flat: dict, report, V: float, D_B: float, audit) -> list:
+    values = {**report.to_dict(), "D": flat["geometry.D"], "T_A": _split_duration(flat, "A"),
+              "T_B": _split_duration(flat, "B"), "V": V, "D_B": D_B,
+              "robertson_residual": audit.robertson_residual,
+              "complementarity_residual": audit.complementarity_residual}
+    return [values[c] for c in REPORT_COLUMNS]
 
 
 def _write(path: Path, text: str) -> None:
@@ -235,7 +225,7 @@ def run(config: Path, out_dir: Path) -> None:
     try:
         flat = parse_config(raw)
         report, V, D_B, audit = _evaluate(scenario_from_config(flat))
-    except ConfigError as exc:
+    except (ConfigError, SingularityError) as exc:
         click.echo(f"input error: {exc}", err=True)
         raise SystemExit(1)
     except NumericFailure as exc:
@@ -260,7 +250,7 @@ def run(config: Path, out_dir: Path) -> None:
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     _write(out_dir / "report.json", dump_json(doc) + "\n")
-    _write(out_dir / "report.csv", _csv([REPORT_COLUMNS, [row[c] for c in REPORT_COLUMNS]]))
+    _write(out_dir / "report.csv", _csv([REPORT_COLUMNS, row]))
     click.echo(f"report written to {out_dir / 'report.json'} and {out_dir / 'report.csv'}")
     if not (audit.complementarity_ok and audit.robertson_ok):
         click.echo(
@@ -336,8 +326,10 @@ def sweep(config: Path, vary: str, out_dir: Path) -> None:
                 any_numeric_failure = True
                 rows.append([key, value, *[""] * len(REPORT_COLUMNS), "quadrature_failure"])
                 continue
-            row = _report_row(flat, report, V, D_B, audit)
-            rows.append([key, value, *[row[c] for c in REPORT_COLUMNS], "ok"])
+            except SingularityError as exc:
+                click.echo(f"input error at {key}={value:.17g}: {exc}", err=True)
+                raise SystemExit(1)
+            rows.append([key, value, *_report_row(flat, report, V, D_B, audit), "ok"])
 
     out_dir.mkdir(parents=True, exist_ok=True)
     _write(out_dir / "sweep.csv", _csv(rows))

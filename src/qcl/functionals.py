@@ -16,10 +16,10 @@ lab-time integrals over the split windows, because branch differences
 vanish identically outside them.
 
 Gamma depends only on a pair's split and charge and on the kernel, not on
-where the pair rests, along which axis it splits or in which window.
-Inside a ``with reusing_gamma():`` block (``qcl sweep`` wraps its grid in
-one) each distinct Gamma is computed once and reused, a NumericFailure
-included; outside such a block every call computes afresh.
+where the pair rests or along which axis it splits.  Inside a ``with
+reusing_gamma():`` block (``qcl sweep`` wraps its grid in one) each
+distinct Gamma is computed once and reused, a NumericFailure included;
+outside such a block every call computes afresh.
 
 Two deliberately different regularizations appear.  Gamma, quadratic in
 a single particle's current, probes the light-cone coincidence limit and
@@ -86,10 +86,10 @@ def reusing_gamma():
 
     Results are keyed by the pair's label and charge, its right branch's
     amplitude, t0, ramp and hold, and the KernelSpec, every float by its
-    exact bits.  The key leaves out the rest point, the axis and the
-    window: Gamma's integrand sees only the displacement and its rate
-    over the split window, so it is bitwise the same under all three.  A
-    Gamma that raised NumericFailure raises it again for the same key.
+    exact bits.  The key leaves out the rest point and the axis: Gamma's
+    integrand sees only the displacement and its rate over the split
+    window, so it is bitwise the same under both.  A Gamma that raised
+    NumericFailure raises it again for the same key.
     """
     token = _GAMMA_MEMO.set({})
     try:
@@ -452,7 +452,7 @@ def build_report(scenario: Scenario) -> DecoherenceReport:
     integrals give.  Any other layout, tilted axes or a shared offset
     included, runs all four.
     """
-    spec: KernelSpec = scenario.kernel
+    spec = scenario.kernel
     ga, ega = _gamma_with_error(scenario.pair_A, spec)
     gb, egb = _gamma_with_error(scenario.pair_B, spec)
     pa, epa = _phi_self_with_error(scenario.pair_A, spec, scenario.background)

@@ -17,9 +17,12 @@ import copy
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:  # qcl.kernels imports this module
+    from .kernels import KernelSpec
 
 __all__ = [
     "Worldline",
@@ -44,7 +47,7 @@ def _smoothstep_rate(u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Worldline:
-    """One branch of a split: a charged point particle inside a finite lab-time window.
+    """One branch of a split: a charged point particle and its one excursion.
 
     The particle rests at ``base`` and makes a smooth excursion along
     ``axis``: its displacement is ``amplitude * s(t)`` where s rises from
@@ -53,16 +56,14 @@ class Worldline:
     C^2 in time, so the current it generates has no kinks.
 
     This is the one place that states what a branch is: ramp > 0,
-    hold >= 0, a nonzero axis (normalised here, once), a window that
-    contains the whole excursion, and a peak speed 15 * |amplitude| /
-    (8 * ramp), reached mid-ramp, below 1.  Outside the excursion the
-    particle rests at its base, before and after the window too: retarded
+    hold >= 0, a nonzero axis (normalised here, once), and a peak speed
+    15 * |amplitude| / (8 * ramp), reached mid-ramp, below 1.  Outside
+    [t0, t_end] the particle rests at its base, at every lab time: retarded
     fields have a source at all times, so the methods take any lab time.
     Worldlines compare and hash by identity.
     """
 
     charge: float
-    window: tuple[float, float]
     base: np.ndarray
     axis: np.ndarray
     amplitude: float
@@ -84,10 +85,6 @@ class Worldline:
         put("axis", axis / norm)
         for name in ("amplitude", "t0", "ramp", "hold"):
             put(name, float(getattr(self, name)))
-        w0, w1 = self.window
-        if not (w0 <= self.t0 and self.t_end <= w1):
-            raise ValueError(f"window [{w0}, {w1}] must contain the whole excursion "
-                             f"[{self.t0}, {self.t_end}]")
         vmax = 15.0 * abs(self.amplitude) / (8.0 * self.ramp)
         if not vmax < 1.0:
             raise ValueError(f"peak speed 15*|amplitude|/(8*ramp) = {vmax:.6g} is not below 1")
@@ -175,14 +172,16 @@ def make_branch_pair(
     """Symmetric split: right branch at +L/2, left branch at -L/2 along axis.
 
     The particle rests at ``base`` before t0, moves out along ``axis`` over
-    ``ramp``, holds for ``hold`` and returns by t0 + 2*ramp + hold.  The
-    default window pads the excursion by one ramp on each side.
+    ``ramp``, holds for ``hold`` and returns by t0 + 2*ramp + hold.  A
+    ``window``, if given, must hold that excursion; no number depends on it.
     """
     if L < 0.0:
         raise ValueError("L must be non-negative")
-    if window is None:
-        window = (t0 - ramp, t0 + 2.0 * ramp + hold + ramp)
-    return BranchPair(label, Worldline(charge, window, base, axis, L / 2.0, t0, ramp, hold))
+    right = Worldline(charge, base, axis, L / 2.0, t0, ramp, hold)
+    if window is not None and not (window[0] <= right.t0 and right.t_end <= window[1]):
+        raise ValueError(f"window [{window[0]}, {window[1]}] must contain the whole excursion "
+                         f"[{right.t0}, {right.t_end}]")
+    return BranchPair(label, right)
 
 
 def causal_margin(probe: BranchPair, source: BranchPair) -> float:
@@ -227,20 +226,20 @@ def _mutually_spacelike(a: BranchPair, b: BranchPair) -> bool:
 class Scenario:
     """Two branch pairs plus the kernel and background that define one experiment.
 
-    The pairs carry the whole geometry.  Nothing in qcl reads ``D`` (the
-    distance between the rest positions), ``T`` (the common window length),
-    ``T_A`` or ``T_B`` (the split-window durations); they remain only
-    because perfbench/inputs.py still passes them.
+    The pairs carry the whole geometry; ``background`` maps events (..., 4)
+    to A^mu (..., 4).  Nothing in qcl reads ``D`` (the distance between the
+    rest positions), ``T`` (the window length), ``T_A`` or ``T_B`` (the
+    split-window durations); they remain because perfbench/inputs.py passes them.
     """
 
     pair_A: BranchPair
     pair_B: BranchPair
-    kernel: "object"
+    kernel: KernelSpec
     D: float
     T: float
     T_A: float
     T_B: float
-    background: object | None = None
+    background: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
     def spacelike(self) -> bool:

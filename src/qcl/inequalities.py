@@ -21,6 +21,15 @@ Three layers of consistency checks tie the functionals together:
   Y = e^{-phi_BA^2 / (8 Gamma_A)} one has V^2 + D^2 <= X + Y sin^2(...)
   <= 1 whenever f >= 0.
 
+f >= 0 is proved.  On the edges f = 1 - X.  Inside, with a = -ln X and
+b = -ln Y, f = 1 - e^{-a} - e^{-b} sin^2(sqrt(ab)); take a* = 1.26 and
+b* = -ln(1 - e^{-a*}) ~ 0.334.  (1) a < a*: 1 - e^{-a} >= a - a^2/2,
+sin^2 x <= x^2 and b e^{-b} <= 1/e give f >= a (1 - a/2 - 1/e) > 0.
+(2) a >= a*, b >= b*: f >= 1 - e^{-a} - e^{-b} >= 0.  (3) a >= a*, b < b*:
+f >= max(b - b^2/2 - e^{-a}, 1 - e^{-a} - ab); if the first term is <= 0,
+b <= 1.2 e^{-a}, so ab <= 1.2 a* e^{-a*} ~ 0.43 < 0.716 <= 1 - e^{-a}.
+f nears 0 only as X -> 0, Y -> 1, like pi^2 / (4a) along ab = pi^2/4.
+
 Everything here is pure parameter algebra (no quadrature), vectorized so
 audits can sweep millions of samples.
 """
@@ -121,7 +130,10 @@ def implication_audit(samples) -> np.ndarray:
     and their bound_residual is still reported.  A triple like
     (0, 0, pi) shows why the precondition matters: the bound expression
     reaches 2 > 1 there.  A negative gamma raises ValueError, as in
-    :func:`robertson_residual`.
+    :func:`robertson_residual`.  ``ok`` is a theorem: a non-negative
+    Robertson residual gives e^{-2 gamma_B} <= Y, so bound_residual >=
+    f(X, Y) >= 0 (module docstring).  A failing row is rounding or a bug,
+    never a counter-example.
     """
     s = np.asarray(samples, dtype=float)
     if s.ndim != 2 or s.shape[1] != 3:

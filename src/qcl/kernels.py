@@ -137,34 +137,30 @@ def smeared_coulomb(r, charge: float, spec: KernelSpec):
 
 
 # ---------------------------------------------------------------------------
-# Retarded/advanced light-cone crossings and Lienard-Wiechert potentials on
-# the bare (unsmeared) cone.  A branch difference vanishes identically where
-# both branches' crossings land outside the split window: a split source rests
-# there, and the rest-point certificate gives both the same closed-form time.
+# Light-cone crossings and Lienard-Wiechert potentials on the bare (unsmeared) cone.
 
 
 def _light_cone_times(events: np.ndarray, w: Worldline, *, advanced: bool) -> np.ndarray:
     """Vectorized light-cone crossing times for events of shape (N, 4).
 
     Solves f(tau) = tau - t +- |x - X(tau)| = 0 (upper sign retarded).  First,
-    tau0 = t -+ |x - X_rest|, X_rest = X(window start), is the root wherever
-    X(tau0) equals X_rest bitwise: by this rest-point certificate a pair's
-    branches get equal times wherever the crossing is outside the split window.
-    Other events run Newton on f' = 1 -+ R_hat.v, in (0, 2) for speeds below 1,
-    bracketed by the light-cone time of the rest point at the window edge.
-    Raises ArithmeticError on no convergence.
+    tau0 = t -+ d, d = |x - base|, is the root wherever X(tau0) is the base
+    bitwise: by this rest-point certificate a pair's branches get equal times
+    wherever the crossing is outside the split window.  Other events run Newton
+    on f' = 1 -+ R_hat.v, in (0, 2) for speeds below 1, bracketed by the closed
+    forms f(min(t, t0) - d) <= 0 (retarded) and f(max(t, t_end) + d) >= 0
+    (advanced): the source rests at its base outside [t0, t_end].  Raises
+    ArithmeticError on no convergence.
     """
     events = np.asarray(events, dtype=float)
     t, x = events[:, 0], events[:, 1:]
     sgn = 1.0 if advanced else -1.0
-    rest = w.position(w.window[0])
-    out = t + sgn * np.linalg.norm(x - rest, axis=-1)
+    d = np.linalg.norm(x - w.base, axis=-1)
+    out = t + sgn * d
     pos = w.position(out)
-    todo = np.flatnonzero(np.any(pos != rest, axis=-1))
+    todo = np.flatnonzero(np.any(pos != w.base, axis=-1))
     t, x, tau, pos = t[todo], x[todo], out[todo], pos[todo]
-    edge = w.window[1] if advanced else w.window[0]
-    far = (np.maximum if advanced else np.minimum)(t, edge)
-    far = far + sgn * np.linalg.norm(x - w.position(edge), axis=-1)
+    far = (np.maximum(t, w.t_end) if advanced else np.minimum(t, w.t0)) + sgn * d[todo]
     lo, hi = (t, far) if advanced else (far, t)  # f(lo) <= 0 <= f(hi)
     for _ in range(100):
         if not todo.size:

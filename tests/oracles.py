@@ -206,9 +206,10 @@ def light_cone_bisection(events, w, *, advanced: bool) -> np.ndarray:
     events = np.asarray(events, dtype=float)
     t = events[:, 0]
     x = events[:, 1:]
-    t0, t1 = w.window
-    # The path stays within h/2 of its nearest sample (speed < 1), so the
-    # sampled ball padded by half the spacing encloses it.
+    t0, t1 = w.t0, w.t_end
+    # The path rests at its base outside [t0, t1] and stays within h/2 of
+    # its nearest sample (speed < 1), so the sampled ball padded by half
+    # the spacing encloses it at all times.
     pts = w.position(np.linspace(t0, t1, 256))
     center = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
     radius = float(np.linalg.norm(pts - center, axis=-1).max()) + 0.5 * (t1 - t0) / 255.0 + 1e-9

@@ -35,7 +35,9 @@ from qcl.cli import (
 )
 from qcl.functionals import build_report, gamma
 from qcl.inequalities import AuditResult, f_grid, implication_audit
+from qcl.kernels import SingularityError
 from qcl.quadrature import NumericFailure
+from qcl.quantum import distinguishability, rho_A, visibility
 
 import oracles
 from conftest import count_adaptive
@@ -78,6 +80,25 @@ def large_charge_config(particle, charge):
     }
     cfg["particles"][particle]["charge"] = charge
     return cfg
+
+
+def coincident_config():
+    """Both particles on one worldline: at D = 0 a pairing's probe events sit on its source."""
+    split = {"L": 0.5, "t0": 0.3, "ramp": 0.9, "hold": 0.8}
+    return {
+        "particles": {"A": {"charge": 1.0, "split": dict(split)},
+                      "B": {"charge": 1.0, "split": dict(split)}},
+        "geometry": {"D": 0.0},
+        "kernel": {"sigma": 0.07},
+        "times": {"T": 3.2},
+    }
+
+
+def readme_config():
+    """The config of README's schema block, which has a background."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("Config schema", 1)[1]
+    return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
 
 
 def write_config(tmp_path, cfg, name="scenario.json"):
@@ -144,10 +165,7 @@ class TestParseConfig:
         assert scenario.pair_A.split_window[1] == 0.8
 
     def test_readme_config_schema_block_parses(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        section = readme.split("Config schema", 1)[1]
-        block = section.split("```json\n", 1)[1].split("```", 1)[0]
-        raw = json.loads(block)
+        raw = readme_config()
         assert scenario_from_config(parse_config(raw)).background is not None
         # The example's background lies off both splits' mirror planes, so its charge shows.
         phi_a = []
@@ -199,6 +217,41 @@ class TestParseConfig:
         cfg["background"] = {"coulomb": {"charge": 0.5, "position": [1.0, 0.0, 0.0], "spin": 1}}
         with pytest.raises(ConfigError, match="background.coulomb.spin: unknown key"):
             parse_config(cfg)
+
+
+def _outputs(flat):
+    """Every report field of a parsed config, with V and D_B, each as its repr."""
+    report = build_report(scenario_from_config(flat))
+    out = {**report.to_dict(), "V": visibility(rho_A(report)), "D_B": distinguishability(report)}
+    return {name: repr(value) for name, value in out.items()}
+
+
+# Each numeric key of the README config with the factor it is scaled by.
+# The tolerance moves by 10x: a 10% step flips no refinement decision there.
+# The window bounds no integral, so no factor of times.T moves a bit.
+KEY_STEPS = [(key, 1.1) for key in (
+    "particles.A.charge", "particles.A.split.L", "particles.A.split.t0",
+    "particles.A.split.ramp", "particles.A.split.hold",
+    "particles.B.charge", "particles.B.split.L", "particles.B.split.t0",
+    "particles.B.split.ramp", "particles.B.split.hold",
+    "geometry.D", "kernel.sigma", "background.coulomb.charge", "background.coulomb.position",
+)] + [("kernel.quad_tol", 10.0)] + [("times.T", f) for f in (0.8, 1.5, 4.0, 20.0)]
+
+
+class TestEveryKeyButTheWindowMovesAnOutput:
+    def test_steps_cover_every_numeric_key(self):
+        assert {key for key, _ in KEY_STEPS} == set(parse_config(readme_config()))
+
+    @pytest.mark.parametrize("key, factor", KEY_STEPS)
+    def test_step_moves_an_output_unless_it_is_the_window(self, key, factor):
+        flat = parse_config(readme_config())
+        value = flat[key]
+        stepped = [v * factor for v in value] if isinstance(value, list) else value * factor
+        before, after = _outputs(flat), _outputs({**flat, key: stepped})
+        if key == "times.T":
+            assert after == before
+        else:
+            assert after != before
 
 
 class TestVaryParsing:
@@ -426,6 +479,17 @@ class TestRunCommand:
         # The report files are still written for post-mortem inspection.
         assert (out / "report.json").exists()
 
+    def test_coincident_worldlines_exit_1_without_traceback(self, runner, tmp_path):
+        cfg = coincident_config()
+        with pytest.raises(SingularityError):
+            build_report(scenario_from_config(parse_config(cfg)))
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["run", str(write_config(tmp_path, cfg)), "--out-dir", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == "input error: event on or numerically on the source worldline\n"
+        assert not out.exists()
+
     def test_quadrature_failure_exits_3(self, runner, tmp_path, monkeypatch):
         def exploding_build(scenario):
             raise NumericFailure("decoherence exponent", 0.1, 1e-3, 1e-9)
@@ -566,6 +630,17 @@ class TestSweepCommand:
             assert message in result.stderr
             assert evaluated == []
             assert not (out / "sweep.csv").exists()
+
+    def test_coincident_worldlines_exit_1_at_their_point(self, runner, tmp_path):
+        cfg = write_config(tmp_path, coincident_config())
+        out = tmp_path / "s"
+        result = runner.invoke(main, ["sweep", str(cfg), "--vary", "geometry.D=0:2:3",
+                                      "--out-dir", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == ("input error at geometry.D=0: "
+                                 "event on or numerically on the source worldline\n")
+        assert not (out / "sweep.csv").exists()
 
     def test_rows_match_per_point_runs_with_a_background(self, runner, tmp_path):
         cfg_dict = base_config()

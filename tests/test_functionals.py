@@ -330,7 +330,7 @@ def _relaid(pair, base, axis, **split):
     p = pair.right
     kw = {"L": 2.0 * p.amplitude, "ramp": p.ramp, "hold": p.hold, **split}
     return make_branch_pair(pair.label, kw["L"], p.t0, kw["ramp"], kw["hold"],
-                            charge=pair.charge, base=base, axis=axis, window=pair.right.window)
+                            charge=pair.charge, base=base, axis=axis)
 
 
 def _off_axis(s):

@@ -44,7 +44,7 @@ class TestSplitPath:
     def test_peak_speed_matches_closed_form(self):
         L, ramp = 0.9, 1.1
         w = make_branch_pair("A", L, 0.5, ramp, 0.7).right
-        ts = np.linspace(*w.window, 200001)
+        ts = np.linspace(w.t0 - w.ramp, w.t_end + w.ramp, 200001)
         measured = np.linalg.norm(w.velocity(ts), axis=-1).max()
         assert measured == pytest.approx(15.0 * L / (16.0 * ramp), abs=1e-8)
 
@@ -54,7 +54,7 @@ class TestSplitPath:
 
     def test_zero_width_split_is_static(self):
         w = make_branch_pair("A", 0.0, 0.5, 0.8, 1.0, base=(1.0, 2.0, 3.0)).right
-        ts = np.linspace(*w.window, 257)
+        ts = np.linspace(w.t0 - w.ramp, w.t_end + w.ramp, 257)
         assert np.all(w.position(ts) == np.array([1.0, 2.0, 3.0]))
         assert np.all(w.velocity(ts) == 0.0)
 
@@ -64,49 +64,38 @@ class TestSplitPath:
     def test_speed_cap_on_dense_grid(self, L, ramp_factor, hold, t0):
         ramp = 15.0 * L / 16.0 * ramp_factor
         w = make_branch_pair("A", L, t0, ramp, hold).right
-        ts = np.linspace(*w.window, 10000)
+        ts = np.linspace(w.t0 - w.ramp, w.t_end + w.ramp, 10000)
         assert np.linalg.norm(w.velocity(ts), axis=-1).max() < 1.0
 
 
 class TestWorldline:
-    """Every branch check lives in Worldline itself."""
+    """Every branch check lives in Worldline itself; the window is make_branch_pair's."""
 
     def test_superluminal_path_rejected(self):
         with pytest.raises(ValueError, match="not below 1"):
-            Worldline(1.0, (0.0, 2.5), (0, 0, 0), (0, 1, 0), 0.6, 0.5, 0.3, 0.5)
+            Worldline(1.0, (0, 0, 0), (0, 1, 0), 0.6, 0.5, 0.3, 0.5)
 
     @pytest.mark.parametrize("amplitude", [0.8, -0.8])
     def test_light_speed_peak_rejected(self, amplitude):
         # 15 * 0.8 / (8 * 1.5) is exactly 1: the bound is strict.
         with pytest.raises(ValueError, match="not below 1"):
-            Worldline(1.0, (0.0, 5.0), (0, 0, 0), (0, 1, 0), amplitude, 0.5, 1.5, 0.5)
-
-    def test_excursion_outside_window_rejected(self):
-        for window in ((0.0, 2.0), (0.5, 4.0)):
-            with pytest.raises(ValueError, match="whole excursion"):
-                Worldline(1.0, window, (0, 0, 0), (0, 1, 0), 0.25, 0.4, 0.6, 0.8)
-
-    def test_window_shorter_than_excursion_rejected(self):
-        # The excursion [0.2, 1.5] starts with the window but outlasts it.
-        with pytest.raises(ValueError, match="whole excursion"):
-            Worldline(charge=1.0, window=(0.2, 0.9), base=(0, 0, 0), axis=(0, 1, 0),
-                      amplitude=0.4, t0=0.2, ramp=0.5, hold=0.3)
+            Worldline(1.0, (0, 0, 0), (0, 1, 0), amplitude, 0.5, 1.5, 0.5)
 
     @pytest.mark.parametrize("ramp", [0.0, -0.5])
     def test_non_positive_ramp_rejected(self, ramp):
         with pytest.raises(ValueError, match="ramp must be positive"):
-            Worldline(1.0, (-1.0, 5.0), (0, 0, 0), (0, 1, 0), 0.25, 0.4, ramp, 0.8)
+            Worldline(1.0, (0, 0, 0), (0, 1, 0), 0.25, 0.4, ramp, 0.8)
 
     def test_negative_hold_rejected(self):
         with pytest.raises(ValueError, match="hold must be non-negative"):
-            Worldline(1.0, (0.0, 5.0), (0, 0, 0), (0, 1, 0), 0.25, 0.4, 0.6, -0.1)
+            Worldline(1.0, (0, 0, 0), (0, 1, 0), 0.25, 0.4, 0.6, -0.1)
 
     def test_zero_axis_rejected(self):
         with pytest.raises(ValueError, match="axis must be a nonzero vector"):
-            Worldline(1.0, (0.0, 5.0), (0, 0, 0), (0.0, 0.0, 0.0), 0.25, 0.4, 0.6, 0.8)
+            Worldline(1.0, (0, 0, 0), (0.0, 0.0, 0.0), 0.25, 0.4, 0.6, 0.8)
 
     def test_axis_is_normalised(self):
-        w = Worldline(1.0, (0.0, 5.0), (0, 0, 0), (0, 3, 4), 0.25, 0.4, 0.6, 0.8)
+        w = Worldline(1.0, (0, 0, 0), (0, 3, 4), 0.25, 0.4, 0.6, 0.8)
         assert np.array_equal(w.axis, [0.0, 0.6, 0.8])
 
 
@@ -120,11 +109,11 @@ class TestBranchPair:
         pair = make_branch_pair("A", 0.7, 0.6, 0.9, 1.1, charge=1.3, base=base, axis=axis,
                                 window=(0.2, 4.3))
         # Built independently from the same raw axis, normalised once.
-        want = Worldline(1.3, (0.2, 4.3), base, axis, -0.7 / 2.0, 0.6, 0.9, 1.1)
+        want = Worldline(1.3, base, axis, -0.7 / 2.0, 0.6, 0.9, 1.1)
         ts = np.linspace(-1.0, 5.5, 1301)  # past both ends of the window
         for f in ("position", "velocity", "offset"):
             assert np.array_equal(getattr(pair.left, f)(ts), getattr(want, f)(ts)), f
-        assert (pair.left.charge, pair.left.window) == (want.charge, want.window)
+        assert pair.left.charge == want.charge
 
     def test_split_window_is_the_excursion(self):
         t0, ramp, hold = 0.6, 0.9, 1.1
@@ -134,7 +123,7 @@ class TestBranchPair:
     def test_branches_coincide_outside_split_window(self):
         pair = make_branch_pair("A", 0.7, 0.6, 0.9, 1.1, charge=1.3)
         a, b = pair.split_window
-        w0, w1 = pair.right.window
+        w0, w1 = a - pair.right.ramp, b + pair.right.ramp
         ts = np.concatenate([np.linspace(w0 - 1.0, a, 40)[:-1], np.linspace(b, w1 + 1.0, 40)[1:]])
         assert np.array_equal(pair.right.position(ts), pair.left.position(ts))
         assert np.array_equal(pair.right.velocity(ts), pair.left.velocity(ts))
@@ -147,8 +136,7 @@ class TestBranchPair:
         # a left branch built as a new Worldline would not be an exact mirror.
         pair = make_branch_pair("A", 0.7, 0.6, 0.9, 1.1, axis=(0.3, 1.0, -0.4))
         r, l = pair.right, pair.left
-        renormalised = Worldline(r.charge, r.window, r.base, r.axis, -r.amplitude,
-                                 r.t0, r.ramp, r.hold)
+        renormalised = Worldline(r.charge, r.base, r.axis, -r.amplitude, r.t0, r.ramp, r.hold)
         assert not np.array_equal(renormalised.axis, r.axis)
         assert l is not r
         assert np.array_equal(l.axis, r.axis) and np.array_equal(l.base, r.base)
@@ -171,11 +159,27 @@ class TestBranchPair:
         assert again.split_window == pair.split_window
         assert again.left.charge == pair.right.charge == -1.3
 
+    def test_excursion_outside_window_rejected(self):
+        for window in ((0.0, 2.0), (0.5, 4.0)):
+            with pytest.raises(ValueError, match="whole excursion"):
+                make_branch_pair("A", 0.5, 0.4, 0.6, 0.8, window=window)
+
+    def test_window_shorter_than_excursion_rejected(self):
+        # The excursion [0.2, 1.5] starts with the window but outlasts it.
+        with pytest.raises(ValueError, match=r"^window \[0.2, 0.9\] must contain the whole "
+                                             r"excursion \[0.2, 1.5\]$"):
+            make_branch_pair("A", 0.5, 0.2, 0.5, 0.3, window=(0.2, 0.9))
+
+    def test_bad_speed_is_reported_before_a_bad_window(self):
+        # The branch is built, and its rules checked, before the window is.
+        with pytest.raises(ValueError, match="not below 1"):
+            make_branch_pair("A", 0.8, 0.2, 0.5, 0.3, window=(0.2, 0.9))
+
     def test_excursion_filling_the_window_accepted(self):
         t_end = 0.4 + 2 * 0.6 + 0.8
-        pair = BranchPair("A", Worldline(1.0, (0.4, t_end), (0, 0, 0), (0, 1, 0),
-                                         0.25, 0.4, 0.6, 0.8))
-        assert pair.split_window == pair.right.window == (0.4, 0.4 + 2 * 0.6 + 0.8)
+        pair = make_branch_pair("A", 0.5, 0.4, 0.6, 0.8, window=(0.4, t_end))
+        assert pair.split_window == (0.4, t_end)
+        assert not hasattr(pair.right, "window")
 
     def test_static_degenerate_pair_is_clean(self):
         # A zero split is still a pair: its branches coincide at all times.

@@ -112,6 +112,61 @@ class TestImplicationFunction:
         assert value > 0.4
 
 
+# The three bounds of the proof that f >= 0 (see the qcl.inequalities
+# docstring), in a = -ln X and b = -ln Y.  Each test samples its region of
+# the (a, b) quadrant on a log-spaced grid that holds a* and b*, with a and
+# b up to 700 (e^-700 is still a normal float), plus the points of the
+# tight family ab = pi^2/4 that fall in the region.  f is evaluated through
+# f_xy at (e^-a, e^-b); ROUNDING allows a few ulps of its O(1) terms.
+A_STAR = 1.26
+B_STAR = -math.log1p(-math.exp(-A_STAR))
+ROUNDING = 1e-15
+
+
+def _region(a_in, b_in, n=400):
+    """(a, b) samples in a region given by two predicates on a and b."""
+    axis = np.union1d(np.geomspace(1e-8, 700.0, n), [A_STAR, B_STAR])
+    a, b = (v.ravel() for v in np.meshgrid(axis[a_in(axis)], axis[b_in(axis)]))
+    tight_a = np.geomspace(1e-8, 700.0, 4000)
+    tight_b = math.pi ** 2 / (4.0 * tight_a)
+    keep = a_in(tight_a) & b_in(tight_b) & (tight_b <= 700.0)
+    return np.concatenate([a, tight_a[keep]]), np.concatenate([b, tight_b[keep]])
+
+
+def _f(a, b):
+    return f_xy(np.exp(-a), np.exp(-b))
+
+
+class TestNonNegativityProof:
+    def test_constants(self):
+        assert A_STAR < 2.0 * (1.0 - 1.0 / math.e)
+        assert B_STAR == pytest.approx(0.334, abs=5e-4)
+
+    def test_bound_1_small_a(self):
+        # a < a*: f >= a (1 - a/2 - 1/e) > 0.
+        a, b = _region(lambda a: a < A_STAR, lambda b: b > 0.0)
+        bound = a * (1.0 - a / 2.0 - 1.0 / math.e)
+        assert np.all(bound > 0.0)
+        assert np.all(_f(a, b) >= bound - ROUNDING)
+
+    def test_bound_2_large_a_large_b(self):
+        # a >= a*, b >= b*: f >= 1 - e^-a - e^-b >= 0.
+        a, b = _region(lambda a: a >= A_STAR, lambda b: b >= B_STAR)
+        bound = 1.0 - np.exp(-a) - np.exp(-b)
+        assert np.all(bound >= -ROUNDING)
+        assert np.all(_f(a, b) >= bound - ROUNDING)
+
+    def test_bound_3_large_a_small_b(self):
+        # a >= a*, b < b*: f >= max(b - b^2/2 - e^-a, 1 - e^-a - ab), and
+        # the two terms are never both <= 0.
+        a, b = _region(lambda a: a >= A_STAR, lambda b: b < B_STAR)
+        first = b - b * b / 2.0 - np.exp(-a)
+        second = 1.0 - np.exp(-a) - a * b
+        assert not np.any((first <= 0.0) & (second <= 0.0))
+        assert np.any(first <= 0.0) and np.any(second <= 0.0)
+        assert np.all(_f(a, b) >= np.maximum(first, second) - ROUNDING)
+
+
 class TestImplicationAudit:
     def test_structured_fields(self):
         out = implication_audit([[0.5, 0.5, 0.1]])

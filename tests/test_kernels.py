@@ -256,15 +256,39 @@ class TestLightConeSolver:
     def events(rng, n):
         return np.column_stack([rng.uniform(-1.0, 6.0, n), rng.uniform(-3.0, 3.0, (n, 3))])
 
+    @staticmethod
+    def crossing_events(rng, w, advanced, n):
+        """Events whose crossing on w is within 1e-9 of t0 or t_end, or well outside the split.
+
+        Returns the events and their crossings: each event is a distance r
+        along a random direction from w's position at its crossing time,
+        and r later (earlier, if advanced) than it.
+        """
+        near = rng.uniform(-1e-9, 1e-9, (2, n))
+        taus = np.concatenate([w.t0 + near[0], w.t_end + near[1],
+                               w.t0 - rng.uniform(0.5, 3.0, n), w.t_end + rng.uniform(0.5, 3.0, n)])
+        unit = rng.normal(size=(taus.size, 3))
+        unit /= np.linalg.norm(unit, axis=-1, keepdims=True)
+        r = rng.uniform(0.05, 3.0, taus.size)
+        lag = -r if advanced else r
+        return np.column_stack([taus + lag, w.position(taus) + r[:, None] * unit]), taus
+
     @pytest.mark.parametrize("advanced", [False, True])
     def test_matches_bisection_oracle(self, advanced):
         rng = np.random.default_rng(41)
+        edge_rng = np.random.default_rng(45)
         for pair in self.moving_pairs(rng, 12):
             ev = self.events(rng, 400)
             for w in (pair.right, pair.left):
                 tau = qcl.kernels._light_cone_times(ev, w, advanced=advanced)
                 want = oracles.light_cone_bisection(ev, w, advanced=advanced)
                 assert np.max(np.abs(tau - want)) <= 1e-14
+                # Crossings at the excursion's edges, where the Newton bracket is set.
+                edge_ev, crossing = self.crossing_events(edge_rng, w, advanced, 50)
+                tau = qcl.kernels._light_cone_times(edge_ev, w, advanced=advanced)
+                want = oracles.light_cone_bisection(edge_ev, w, advanced=advanced)
+                assert np.max(np.abs(tau - want)) <= 1e-14
+                assert np.max(np.abs(tau - crossing)) <= 1e-14
 
     @pytest.mark.parametrize("advanced", [False, True])
     def test_lag_equals_distance_on_moving_branches(self, advanced):
